@@ -4,6 +4,7 @@ compute performance profiles from recorded batches."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -48,16 +49,17 @@ def cmd_solve(args) -> int:
     try:
         config = _build_config(args)
         problem = get_problem(args.problem)
+        # Opened before the solve so that a bad path fails fast.
+        trace_file = open(args.trace, "w") if args.trace else contextlib.nullcontext()
     except (KeyError, ValueError, OSError) as exc:
         args.parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     trace = [] if args.trace else None
-    report = SOLVERS[args.solver](problem.objective, problem.x0, config, trace=trace)
-    if args.trace:
-        with open(args.trace, "w") as handle:
-            for record in trace:
-                handle.write(record.to_json() + "\n")
+    with trace_file:
+        report = SOLVERS[args.solver](problem.objective, problem.x0, config, trace=trace)
+        for record in trace or ():
+            trace_file.write(record.to_json() + "\n")
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.status is Status.CONVERGED else 1
 
@@ -72,14 +74,17 @@ def cmd_bench(args) -> int:
         for solver in solvers:
             if solver not in SOLVERS:
                 raise ValueError(f"unknown solver: {solver!r}")
+        jobs = args.jobs
+        env_jobs = os.environ.get("REGULUS_JOBS")
+        if env_jobs:
+            try:
+                jobs = int(env_jobs)
+            except ValueError:
+                raise ValueError(f"REGULUS_JOBS must be an integer, got {env_jobs!r}") from None
     except (KeyError, ValueError, OSError) as exc:
         args.parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    jobs = args.jobs
-    env_jobs = os.environ.get("REGULUS_JOBS")
-    if env_jobs:
-        jobs = int(env_jobs)
     records = run_batch(problems, solvers, config, jobs=jobs)
     write_records(records, args.out)
     solved = sum(1 for r in records if r.status is Status.CONVERGED)

@@ -106,27 +106,28 @@ class SolverConfig:
     max_ls_iters: int = 20
 
     def __post_init__(self):
+        # Each check is written so that a NaN fails it.
         if not 0.0 < self.mu_min <= self.mu0:
             raise ValueError("requires 0 < mu_min <= mu0")
         if not 0.0 < self.gamma1 <= 1.0 < self.gamma2:
             raise ValueError("requires 0 < gamma1 <= 1 < gamma2")
         if not 0.0 < self.eta1 < self.eta2 <= 1.0:
             raise ValueError("requires 0 < eta1 < eta2 <= 1")
-        if self.m < 1:
+        if not self.m >= 1:
             raise ValueError("memory m must be a positive integer")
-        if self.M < 0:
+        if not self.M >= 0:
             raise ValueError("nonmonotone window M must be nonnegative")
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError("requires 0 < c1 < c2 < 1")
-        if self.grad_tol <= 0.0:
+        if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
-        if self.max_fevals < 1:
+        if not self.max_fevals >= 1:
             raise ValueError("max_fevals must be a positive integer")
-        if self.mu_max < self.mu0:
+        if not self.mu_max >= self.mu0:
             raise ValueError("mu_max must be at least mu0")
-        if self.alpha_floor <= 0.0:
+        if not self.alpha_floor > 0.0:
             raise ValueError("alpha_floor must be positive")
-        if self.max_ls_iters < 1:
+        if not self.max_ls_iters >= 1:
             raise ValueError("max_ls_iters must be a positive integer")
 
     @classmethod
@@ -235,9 +236,12 @@ def evaluate(
 def scaled_gradient_norm(gradient: Vector, point: Vector) -> float:
     """Gradient norm scaled by max(1, ||x||); inf when the gradient is bad."""
     g = np.asarray(gradient, dtype=float)
-    if not np.all(np.isfinite(g)):
+    gnorm = float(np.linalg.norm(g))
+    # A finite norm proves every entry finite; only an overflowed or NaN
+    # norm needs the exact scan.
+    if not math.isfinite(gnorm) and not np.all(np.isfinite(g)):
         return math.inf
-    return float(np.linalg.norm(g)) / max(1.0, float(np.linalg.norm(point)))
+    return gnorm / max(1.0, float(np.linalg.norm(point)))
 
 
 def check_termination(
@@ -258,9 +262,10 @@ def check_termination(
     g = np.asarray(gradient, dtype=float)
     if len(g) != len(point):
         raise ValueError("gradient and point lengths differ")
-    if not np.all(np.isfinite(g)):
+    residual = scaled_gradient_norm(g, point)
+    if residual == math.inf and not np.all(np.isfinite(g)):
         raise NumericalBreakdownError("gradient contains non-finite entries")
-    if scaled_gradient_norm(g, point) < config.grad_tol:
+    if residual < config.grad_tol:
         return Status.CONVERGED
     if counters.n_f > config.max_fevals:
         return Status.EVAL_BUDGET_EXCEEDED

@@ -7,6 +7,7 @@ parameter never requires re-storing vectors.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
@@ -40,12 +41,21 @@ class CurvaturePair:
 
 
 class PairHistory:
-    """FIFO window of the most recent curvature pairs, newest last."""
+    """FIFO window of the most recent curvature pairs, newest last.
+
+    Alongside each pair it caches the last ``(mu, y_shifted, s_ty)`` that
+    :func:`shifted_curvature` produced for it. The cache is keyed on the exact
+    value of ``mu``, is filled only by calling :func:`shifted_curvature`, and
+    leaves with its pair on eviction, so :meth:`shifted` returns bitwise the
+    same result as a fresh call. Callers must not write into the returned
+    vector.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("history capacity must be positive")
         self._pairs: deque[CurvaturePair] = deque(maxlen=capacity)
+        self._shifts: deque[Optional[Tuple[float, Vector, float]]] = deque(maxlen=capacity)
 
     @property
     def capacity(self) -> int:
@@ -64,10 +74,24 @@ class PairHistory:
         pair = CurvaturePair.from_vectors(s, y)
         if pair.ss == 0.0:
             return False
-        if not (np.all(np.isfinite(pair.s)) and np.all(np.isfinite(pair.y))):
+        # Finite s's and y'y prove every entry finite; only an overflowed or
+        # NaN product needs the exact scan.
+        if not (math.isfinite(pair.ss) and math.isfinite(pair.yy)) and not (
+            np.all(np.isfinite(pair.s)) and np.all(np.isfinite(pair.y))
+        ):
             return False
         self._pairs.append(pair)
+        self._shifts.append(None)
         return True
+
+    def shifted(self, index: int, mu: float) -> Tuple[Vector, float]:
+        """``shifted_curvature`` of the pair at ``index`` (oldest first),
+        recomputed only when ``mu`` differs from the cached value."""
+        cached = self._shifts[index]
+        if cached is None or cached[0] != mu:
+            cached = (mu, *shifted_curvature(self._pairs[index], mu))
+            self._shifts[index] = cached
+        return cached[1], cached[2]
 
     def __len__(self) -> int:
         return len(self._pairs)

@@ -73,28 +73,37 @@ def two_loop_direction(
     and the stored pairs with their shifted curvature, applied oldest to
     newest. With an empty history this reduces to a scaled steepest-descent
     step. The result is a descent direction whenever the gradient is nonzero.
+
+    The shifted vectors come from the history's cache (see
+    :class:`PairHistory`), recomputed only for pairs last shifted with a
+    different ``mu``. The recursion runs in place on one copy of the
+    gradient and one scratch buffer, with the same floating-point
+    operations in the same order as the textbook form. The result is always
+    a fresh array, aliased with neither the cache nor the buffer, because
+    callers store it in the history as the next displacement.
     """
     g = np.asarray(gradient, dtype=float)
     pairs = list(history)
     q = g.copy()
+    buf = np.empty_like(q)
     alphas = [0.0] * len(pairs)
     shifted = [None] * len(pairs)
     for i in range(len(pairs) - 1, -1, -1):
         pair = pairs[i]
-        y_shifted, s_ty = shifted_curvature(pair, mu)
+        y_shifted, s_ty = history.shifted(i, mu)
         tau = 1.0 / s_ty if s_ty != 0.0 else math.inf
         if not math.isfinite(tau):
             raise NumericalBreakdownError(f"non-finite curvature weight 1/{s_ty!r}")
         a = tau * float(pair.s @ q)
-        q -= a * y_shifted
+        q -= np.multiply(y_shifted, a, out=buf)
         alphas[i] = a
         shifted[i] = (y_shifted, tau)
-    r = initial_diag(scaling.gamma, mu) * q
+    r = np.multiply(q, initial_diag(scaling.gamma, mu), out=q)
     for i in range(len(pairs)):
         y_shifted, tau = shifted[i]
         beta = tau * float(y_shifted @ r)
-        r += (alphas[i] - beta) * pairs[i].s
-    return -r
+        r += np.multiply(pairs[i].s, alphas[i] - beta, out=buf)
+    return np.negative(r, out=r)
 
 
 def dense_bfgs_oracle(

@@ -88,6 +88,7 @@ class TraceRecord:
 
 class AcceptedStep(NamedTuple):
     d: Vector
+    x: Vector
     mu_used: float
     f_trial: float
     inner_iters: int
@@ -106,7 +107,8 @@ def accept_step_rlbfgs(
     Starting from the current regularization parameter, repeatedly computes
     the direction, evaluates the trial point, and either accepts (ratio at
     least ``eta1`` against the nonmonotone reference) or escalates the
-    parameter by ``gamma2`` and retries. Non-finite trial values count as
+    parameter by ``gamma2`` and retries. The accepted step carries the trial
+    point ``x + d`` it was evaluated at. Non-finite trial values count as
     rejections. Raises :class:`RegularizationOverflowError` past ``mu_max``
     and :class:`EvalBudgetExceededError` when a rejected trial exhausts the
     evaluation budget.
@@ -117,14 +119,15 @@ def accept_step_rlbfgs(
     while True:
         d = two_loop_direction(state.history, state.g, mu_bar, state.scaling)
         reduction = model_reduction(state.g, d)
+        x_trial = state.x + d
         try:
-            f_trial = evaluate(objective, state.x + d, counters, "value")
+            f_trial = evaluate(objective, x_trial, counters, "value")
         except NumericalBreakdownError:
             f_trial = math.inf
         if math.isfinite(f_trial):
             ratio = acceptance_ratio(f_ref, f_trial, reduction)
             if ratio >= config.eta1:
-                return AcceptedStep(d, mu_bar, f_trial, inner, ratio, reduction)
+                return AcceptedStep(d, x_trial, mu_bar, f_trial, inner, ratio, reduction)
         if counters.n_f > config.max_fevals:
             raise EvalBudgetExceededError(
                 f"evaluation budget exhausted after {counters.n_f} evaluations"
@@ -292,7 +295,7 @@ def _run_regularized(
         inner_total += step.inner_iters
         mu_next = update_mu(step.mu_used, step.ratio, config)
 
-        x_unit = state.x + step.d
+        x_unit = step.x
         try:
             # One gradient evaluation per accepted step; it serves the
             # extension trigger, the new curvature pair, and the next

@@ -2,8 +2,14 @@ import json
 
 import pytest
 
+import regulus.cli
 from regulus.cli import main
 from regulus.harness import read_records
+from regulus.solvers import SOLVERS
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve started despite a usage error")
 
 
 def test_solve_happy_path(capsys):
@@ -52,6 +58,13 @@ def test_solve_trace_file(tmp_path, capsys):
         entry = json.loads(line)
         assert entry["k"] == k
         assert set(entry) >= {"k", "mu", "ratio", "gnorm", "alpha", "nf"}
+
+
+def test_solve_unwritable_trace_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(SOLVERS, "rlbfgs", _no_solve)
+    trace_path = tmp_path / "missing-dir" / "trace.jsonl"
+    assert main(["solve", "rosenbrock:2", "--trace", str(trace_path)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_solve_with_config_file(tmp_path, capsys):
@@ -107,6 +120,15 @@ def test_bench_jobs_env_override(tmp_path, monkeypatch, capsys):
     ])
     assert code == 0
     assert len(read_records(records_path)) == 2
+
+
+def test_bench_bad_jobs_env_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(regulus.cli, "run_batch", _no_solve)
+    monkeypatch.setenv("REGULUS_JOBS", "abc")
+    records_path = tmp_path / "records.csv"
+    assert main(["bench", "--problems", "rosenbrock:2", "--out", str(records_path)]) == 2
+    assert "REGULUS_JOBS" in capsys.readouterr().err
+    assert not records_path.exists()
 
 
 def test_profile_empty_intersection_exit_code(tmp_path, capsys):

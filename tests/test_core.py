@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ def test_defaults_match_documented_values():
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         SolverConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in fields(SolverConfig) if f.type in (float, "float")]
+)
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: math.nan})
+    with pytest.raises(ValueError):
+        SolverConfig.from_mapping({field: "nan"})
 
 
 def test_config_from_file(tmp_path):
@@ -166,3 +177,13 @@ def test_termination_rejects_nonfinite_gradient():
         check_termination(
             np.array([math.nan]), np.zeros(1), EvalCounter(), SolverConfig()
         )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_termination_finite_gradient_with_overflowing_norm():
+    g = np.array([1e200, -1e200, 1e200])  # every entry finite, ||g|| = inf
+    assert check_termination(g, np.zeros(3), EvalCounter(), SolverConfig()) is None
+    for bad in (math.nan, math.inf):
+        g[1] = bad
+        with pytest.raises(NumericalBreakdownError):
+            check_termination(g, np.zeros(3), EvalCounter(), SolverConfig())

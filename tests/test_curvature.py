@@ -25,12 +25,17 @@ def test_fifo_eviction():
     assert stored == [2.0, 3.0]  # oldest first, first push evicted
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_push_rejects_degenerate_pairs():
     hist = PairHistory(2)
     assert not hist.push([0.0, 0.0], [1.0, 1.0])
     assert not hist.push([1.0, np.inf], [1.0, 1.0])
     assert not hist.push([1.0, 0.0], [np.nan, 1.0])
+    assert not hist.push([1e200, np.inf], [1.0, 1.0])  # s's overflows too
     assert len(hist) == 0
+    # finite entries whose s's overflows are kept
+    assert hist.push([1e200, 0.0], [1.0, 1.0])
+    assert len(hist) == 1
 
 
 def test_shift_plain_branch():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from regulus.core import NumericalBreakdownError
-from regulus.curvature import CurvaturePair, PairHistory
+from regulus.curvature import CurvaturePair, PairHistory, shifted_curvature
 from regulus.direction import (
     ScalingState,
     dense_bfgs_oracle,
@@ -11,7 +13,40 @@ from regulus.direction import (
     two_loop_direction,
 )
 
-from conftest import random_history
+from conftest import mixed_sign_pair, random_history
+
+
+def reference_two_loop(history, gradient, mu, scaling):
+    """The plain two-loop recursion: fresh shifted vectors and fresh
+    temporaries on every call. `two_loop_direction` must match it bitwise."""
+    g = np.asarray(gradient, dtype=float)
+    pairs = list(history)
+    q = g.copy()
+    alphas = [0.0] * len(pairs)
+    shifted = [None] * len(pairs)
+    for i in range(len(pairs) - 1, -1, -1):
+        pair = pairs[i]
+        y_shifted, s_ty = shifted_curvature(pair, mu)
+        tau = 1.0 / s_ty if s_ty != 0.0 else math.inf
+        if not math.isfinite(tau):
+            raise NumericalBreakdownError(f"non-finite curvature weight 1/{s_ty!r}")
+        a = tau * float(pair.s @ q)
+        q -= a * y_shifted
+        alphas[i] = a
+        shifted[i] = (y_shifted, tau)
+    r = initial_diag(scaling.gamma, mu) * q
+    for i in range(len(pairs)):
+        y_shifted, tau = shifted[i]
+        beta = tau * float(y_shifted @ r)
+        r += (alphas[i] - beta) * pairs[i].s
+    return -r
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericalBreakdownError:
+        return NumericalBreakdownError
 
 
 def test_gamma_from_last_pair():
@@ -185,3 +220,56 @@ def test_two_loop_scales_to_large_n(rng):
     d = two_loop_direction(hist, g, 1.0, scaling)
     assert d.shape == (n,)
     assert float(g @ d) < 0.0
+
+
+def test_two_loop_bitwise_matches_reference_over_call_sequences(rng):
+    # Random histories evolve as in a run: pushes (some of the returned
+    # direction itself, some with s'y < 0) evict at capacity between calls,
+    # while mu rises by gamma2, shrinks by gamma1, returns to an earlier
+    # value or drops to 0, so the shift cache is hit, missed and refilled.
+    for _ in range(60):
+        n = int(rng.choice([1, 2, 3, 7, 33, 200]))
+        hist = PairHistory(int(rng.integers(1, 6)))
+        mu = 1.0
+        seen = [0.0, mu]
+        for _ in range(25):
+            action = rng.integers(0, 6)
+            if action == 0:
+                mu *= 10.0
+            elif action == 1:
+                mu = max(1e-3, 0.1 * mu)
+            elif action == 2:
+                mu = float(rng.choice(seen))
+            elif action == 3:
+                hist.push(*mixed_sign_pair(rng, n))
+            seen.append(mu)
+            scaling = gamma_scale(hist.newest, 1e-8)
+            g = rng.standard_normal(n)
+            d = _outcome(two_loop_direction, hist, g, mu, scaling)
+            expected = _outcome(reference_two_loop, hist, g, mu, scaling)
+            if expected is NumericalBreakdownError:
+                assert d is NumericalBreakdownError
+                continue
+            assert np.array_equal(d, expected)
+            if action >= 4:
+                hist.push(d, rng.standard_normal(n))
+
+
+def test_two_loop_result_is_not_aliased(rng):
+    n = 50
+    hist = random_history(rng, n, 5, capacity=3)
+    scaling = gamma_scale(hist.newest, 1e-8)
+    g = rng.standard_normal(n)
+    g_before = g.copy()
+    d1 = two_loop_direction(hist, g, 0.5, scaling)
+    expected = d1.copy()
+    d1[:] = np.nan
+    d2 = two_loop_direction(hist, g, 0.5, scaling)
+    np.testing.assert_array_equal(d2, expected)
+    # the direction becomes the next stored displacement: later calls must
+    # not write into it
+    hist.push(d2, rng.standard_normal(n))
+    two_loop_direction(hist, g, 0.5, scaling)
+    two_loop_direction(hist, g, 5.0, scaling)
+    np.testing.assert_array_equal(hist.newest.s, expected)
+    np.testing.assert_array_equal(g, g_before)
