@@ -25,6 +25,8 @@ from .problems import get_problem, registry
 from .solvers import SOLVERS
 
 USAGE_ERROR = 2
+# What a shell reports for a process killed by SIGPIPE (128 + 13).
+BROKEN_PIPE = 141
 
 
 def _build_config(args) -> SolverConfig:
@@ -155,7 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`regulus solve ... | head -1`).
+        # Point stdout at devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

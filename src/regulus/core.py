@@ -222,7 +222,9 @@ def evaluate(
         gradient = np.asarray(fn.gradient(point), dtype=float)
         if gradient.shape != (fn.dim,):
             raise ValueError(f"gradient has shape {gradient.shape}, expected ({fn.dim},)")
-        if not np.all(np.isfinite(gradient)):
+        # A finite g'g proves every entry finite; only an overflowed or NaN
+        # product needs the exact scan.
+        if not math.isfinite(gradient.dot(gradient)) and not np.all(np.isfinite(gradient)):
             raise NumericalBreakdownError("gradient contains non-finite entries")
     if what == "value":
         return value
@@ -235,13 +237,16 @@ def evaluate(
 
 def scaled_gradient_norm(gradient: Vector, point: Vector) -> float:
     """Gradient norm scaled by max(1, ||x||); inf when the gradient is bad."""
-    g = np.asarray(gradient, dtype=float)
-    gnorm = float(np.linalg.norm(g))
-    # A finite norm proves every entry finite; only an overflowed or NaN
-    # norm needs the exact scan.
+    # np.linalg.norm of a vector is sqrt(v'v) over its contiguous ravel, so
+    # this is bitwise the same (a strided dot may round differently). A
+    # finite norm proves every entry finite; only an overflowed or NaN norm
+    # needs the exact scan.
+    g = np.asarray(gradient, dtype=float).ravel()
+    x = np.asarray(point, dtype=float).ravel()
+    gnorm = math.sqrt(g.dot(g))
     if not math.isfinite(gnorm) and not np.all(np.isfinite(g)):
         return math.inf
-    return gnorm / max(1.0, float(np.linalg.norm(point)))
+    return gnorm / max(1.0, math.sqrt(x.dot(x)))
 
 
 def check_termination(
@@ -259,11 +264,10 @@ def check_termination(
     to continue. Raises :class:`NumericalBreakdownError` for a non-finite
     gradient.
     """
-    g = np.asarray(gradient, dtype=float)
-    if len(g) != len(point):
+    if len(gradient) != len(point):
         raise ValueError("gradient and point lengths differ")
-    residual = scaled_gradient_norm(g, point)
-    if residual == math.inf and not np.all(np.isfinite(g)):
+    residual = scaled_gradient_norm(gradient, point)
+    if residual == math.inf and not np.all(np.isfinite(gradient)):
         raise NumericalBreakdownError("gradient contains non-finite entries")
     if residual < config.grad_tol:
         return Status.CONVERGED

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import Vector
+from .core import NumericalBreakdownError, Vector
 
 
-@dataclass(frozen=True)
-class CurvaturePair:
+class CurvaturePair(NamedTuple):
     """One displacement/gradient-difference pair with cached inner products."""
 
     s: Vector
@@ -31,31 +29,29 @@ class CurvaturePair:
     def from_vectors(cls, s: Vector, y: Vector) -> "CurvaturePair":
         s = np.asarray(s, dtype=float)
         y = np.asarray(y, dtype=float)
-        return cls(
-            s=s,
-            y=y,
-            sy=float(s @ y),
-            ss=float(s @ s),
-            yy=float(y @ y),
-        )
+        return cls(s, y, float(s.dot(y)), float(s.dot(s)), float(y.dot(y)))
+
+
+# One pair as the two-loop recursion consumes it: (s, y_shifted, 1 / s'y_shifted).
+TwoLoopEntry = Tuple[Vector, Vector, float]
 
 
 class PairHistory:
     """FIFO window of the most recent curvature pairs, newest last.
 
-    Alongside each pair it caches the last ``(mu, y_shifted, s_ty)`` that
-    :func:`shifted_curvature` produced for it. The cache is keyed on the exact
-    value of ``mu``, is filled only by calling :func:`shifted_curvature`, and
-    leaves with its pair on eviction, so :meth:`shifted` returns bitwise the
-    same result as a fresh call. Callers must not write into the returned
-    vector.
+    Alongside each pair it caches the last ``mu`` and :class:`TwoLoopEntry`
+    built from :func:`shifted_curvature` for it. The cache is keyed on the
+    exact value of ``mu``, holds only entries whose weight is finite, and
+    leaves with its pair on eviction, so :meth:`entries` returns bitwise the
+    same result as a fresh computation. Callers must not write into the
+    returned vectors.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("history capacity must be positive")
         self._pairs: deque[CurvaturePair] = deque(maxlen=capacity)
-        self._shifts: deque[Optional[Tuple[float, Vector, float]]] = deque(maxlen=capacity)
+        self._shifts: deque[Optional[Tuple[float, TwoLoopEntry]]] = deque(maxlen=capacity)
 
     @property
     def capacity(self) -> int:
@@ -84,14 +80,25 @@ class PairHistory:
         self._shifts.append(None)
         return True
 
-    def shifted(self, index: int, mu: float) -> Tuple[Vector, float]:
-        """``shifted_curvature`` of the pair at ``index`` (oldest first),
-        recomputed only when ``mu`` differs from the cached value."""
-        cached = self._shifts[index]
-        if cached is None or cached[0] != mu:
-            cached = (mu, *shifted_curvature(self._pairs[index], mu))
-            self._shifts[index] = cached
-        return cached[1], cached[2]
+    def entries(self, mu: float) -> List[TwoLoopEntry]:
+        """``(s, y_shifted, tau)`` of every pair, oldest first, where
+        ``y_shifted, s_ty = shifted_curvature(pair, mu)`` and
+        ``tau = 1 / s_ty``. Only pairs last shifted with a different ``mu``
+        are recomputed. Raises :class:`NumericalBreakdownError` when a weight
+        is not finite (``s_ty`` zero, subnormal or NaN)."""
+        out = []
+        shifts = self._shifts
+        for i in range(len(shifts)):
+            cached = shifts[i]
+            if cached is None or cached[0] != mu:
+                pair = self._pairs[i]
+                y_shifted, s_ty = shifted_curvature(pair, mu)
+                tau = 1.0 / s_ty if s_ty != 0.0 else math.inf
+                if not math.isfinite(tau):
+                    raise NumericalBreakdownError(f"non-finite curvature weight 1/{s_ty!r}")
+                cached = shifts[i] = (mu, (pair.s, y_shifted, tau))
+            out.append(cached[1])
+        return out
 
     def __len__(self) -> int:
         return len(self._pairs)

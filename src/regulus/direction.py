@@ -8,8 +8,6 @@ approximate Hessian is provided as a test oracle for small dimensions.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,33 +18,23 @@ from .curvature import CurvaturePair, PairHistory, shifted_curvature
 _ORACLE_MAX_DIM = 64
 
 
-@dataclass(frozen=True)
-class ScalingState:
-    """Inverse curvature scale of the initial matrix; always positive."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-
-
-def gamma_scale(last_pair: Optional[CurvaturePair], alpha_floor: float) -> ScalingState:
-    """Scale for the initial matrix from the most recent curvature pair.
+def gamma_scale(last_pair: Optional[CurvaturePair], alpha_floor: float) -> float:
+    """Scale ``gamma`` of the initial matrix from the most recent curvature pair.
 
     Uses ``s'y / ||y||^2`` when the pair has enough positive curvature and
     falls back to ``alpha_floor * ||s||^2 / ||y||^2`` otherwise, so the
-    result is strictly positive. With no pair yet the scale is 1.
+    result is positive for any stored pair whose products neither overflow
+    nor underflow. With no pair yet the scale is 1.
     """
     if alpha_floor <= 0.0:
         raise ValueError("alpha_floor must be positive")
     if last_pair is None:
-        return ScalingState(1.0)
+        return 1.0
     if last_pair.yy == 0.0:
         raise NumericalBreakdownError("curvature pair has zero gradient difference")
     if last_pair.sy >= alpha_floor * last_pair.ss:
-        return ScalingState(last_pair.sy / last_pair.yy)
-    return ScalingState(alpha_floor * last_pair.ss / last_pair.yy)
+        return last_pair.sy / last_pair.yy
+    return alpha_floor * last_pair.ss / last_pair.yy
 
 
 def initial_diag(gamma: float, mu: float) -> float:
@@ -65,51 +53,42 @@ def two_loop_direction(
     history: PairHistory,
     gradient: Vector,
     mu: float,
-    scaling: ScalingState,
+    gamma: float,
 ) -> Vector:
     """Quasi-Newton direction ``-H(mu) @ gradient`` in O(m*n) time.
 
     ``H(mu)`` is the limited-memory inverse built from the initial diagonal
-    and the stored pairs with their shifted curvature, applied oldest to
-    newest. With an empty history this reduces to a scaled steepest-descent
-    step. The result is a descent direction whenever the gradient is nonzero.
+    ``gamma / (1 + gamma * mu)`` (see :func:`initial_diag`) and the stored
+    pairs with their shifted curvature, applied oldest to newest. With an
+    empty history this reduces to a scaled steepest-descent step. The result
+    is a descent direction whenever the gradient is nonzero.
 
-    The shifted vectors come from the history's cache (see
-    :class:`PairHistory`), recomputed only for pairs last shifted with a
-    different ``mu``. The recursion runs in place on one copy of the
-    gradient and one scratch buffer, with the same floating-point
+    The shifted vectors and weights come from the history's cache (see
+    :meth:`PairHistory.entries`). The recursion runs in place on one copy of
+    the gradient and one scratch buffer, with the same floating-point
     operations in the same order as the textbook form. The result is always
     a fresh array, aliased with neither the cache nor the buffer, because
     callers store it in the history as the next displacement.
     """
-    g = np.asarray(gradient, dtype=float)
-    pairs = list(history)
-    q = g.copy()
+    entries = history.entries(mu)
+    q = np.array(gradient, dtype=float)
     buf = np.empty_like(q)
-    alphas = [0.0] * len(pairs)
-    shifted = [None] * len(pairs)
-    for i in range(len(pairs) - 1, -1, -1):
-        pair = pairs[i]
-        y_shifted, s_ty = history.shifted(i, mu)
-        tau = 1.0 / s_ty if s_ty != 0.0 else math.inf
-        if not math.isfinite(tau):
-            raise NumericalBreakdownError(f"non-finite curvature weight 1/{s_ty!r}")
-        a = tau * float(pair.s @ q)
+    alphas = []
+    for s, y_shifted, tau in reversed(entries):
+        a = tau * float(s.dot(q))
         q -= np.multiply(y_shifted, a, out=buf)
-        alphas[i] = a
-        shifted[i] = (y_shifted, tau)
-    r = np.multiply(q, initial_diag(scaling.gamma, mu), out=q)
-    for i in range(len(pairs)):
-        y_shifted, tau = shifted[i]
-        beta = tau * float(y_shifted @ r)
-        r += np.multiply(pairs[i].s, alphas[i] - beta, out=buf)
+        alphas.append(a)
+    r = np.multiply(q, gamma / (1.0 + gamma * mu), out=q)
+    for (s, y_shifted, tau), a in zip(entries, reversed(alphas)):
+        beta = tau * float(y_shifted.dot(r))
+        r += np.multiply(s, a - beta, out=buf)
     return np.negative(r, out=r)
 
 
 def dense_bfgs_oracle(
     history: PairHistory,
     mu: float,
-    scaling: ScalingState,
+    gamma: float,
     n: int,
 ) -> Vector:
     """Explicit n-by-n regularized approximate Hessian, for testing only.
@@ -121,13 +100,13 @@ def dense_bfgs_oracle(
     """
     if n > _ORACLE_MAX_DIM:
         raise ValueError(f"dense oracle limited to n <= {_ORACLE_MAX_DIM}")
-    b = np.eye(n) / initial_diag(scaling.gamma, mu)
+    b = np.eye(n) / initial_diag(gamma, mu)
     for pair in history:
         y_shifted, s_ty = shifted_curvature(pair, mu)
         if s_ty <= 0.0:
             raise NumericalBreakdownError("nonpositive shifted curvature in update")
         bs = b @ pair.s
-        sbs = float(pair.s @ bs)
+        sbs = float(pair.s.dot(bs))
         if sbs <= 0.0:
             raise NumericalBreakdownError("nonpositive quadratic form in update")
         b = b - np.outer(bs, bs) / sbs + np.outer(y_shifted, y_shifted) / s_ty

@@ -34,7 +34,7 @@ def _rosenbrock(n: int):
 
     def value(x):
         u, v = x[0::2], x[1::2]
-        return float(np.sum(100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2))
+        return float((100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2).sum())
 
     def gradient(x):
         u, v = x[0::2], x[1::2]
@@ -54,12 +54,12 @@ def _powell_singular(n: int):
 
     def value(x):
         a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-        return float(np.sum(
+        return float((
             (a + 10.0 * b) ** 2
             + 5.0 * (c - d) ** 2
             + (b - 2.0 * c) ** 4
             + 10.0 * (a - d) ** 4
-        ))
+        ).sum())
 
     def gradient(x):
         a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
@@ -79,7 +79,7 @@ def _powell_singular(n: int):
 
 def _diag_quadratic(diag: Vector):
     def value(x):
-        return float(0.5 * np.sum(diag * x * x))
+        return float(0.5 * (diag * x * x).sum())
 
     def gradient(x):
         return diag * x
@@ -129,7 +129,7 @@ def _dixon_price(n: int):
     idx = np.arange(2.0, n + 1.0)
 
     def value(x):
-        return float((x[0] - 1.0) ** 2 + np.sum(idx * (2.0 * x[1:] ** 2 - x[:-1]) ** 2))
+        return float((x[0] - 1.0) ** 2 + (idx * (2.0 * x[1:] ** 2 - x[:-1]) ** 2).sum())
 
     def gradient(x):
         t = 2.0 * x[1:] ** 2 - x[:-1]
@@ -146,16 +146,16 @@ def _trigonometric(n: int):
     """Trigonometric system of n residuals; start is the uniform 1/n point."""
     idx = np.arange(1.0, n + 1.0)
 
-    def _residuals(x):
-        c = np.cos(x)
-        return n - np.sum(c) + idx * (1.0 - c) - np.sin(x)
+    def _residuals(c, s):
+        return n - c.sum() + idx * (1.0 - c) - s
 
     def value(x):
-        return float(np.sum(_residuals(x) ** 2))
+        return float((_residuals(np.cos(x), np.sin(x)) ** 2).sum())
 
     def gradient(x):
-        r = _residuals(x)
-        return 2.0 * (np.sin(x) * np.sum(r) + r * (idx * np.sin(x) - np.cos(x)))
+        c, s = np.cos(x), np.sin(x)
+        r = _residuals(c, s)
+        return 2.0 * (s * r.sum() + r * (idx * s - c))
 
     return np.full(n, 1.0 / n), value, gradient, 0.0
 
@@ -165,10 +165,10 @@ def _penalty1(n: int):
     a = 1e-5
 
     def value(x):
-        return float(a * np.sum((x - 1.0) ** 2) + (np.sum(x * x) - 0.25) ** 2)
+        return float(a * ((x - 1.0) ** 2).sum() + ((x * x).sum() - 0.25) ** 2)
 
     def gradient(x):
-        return 2.0 * a * (x - 1.0) + 4.0 * (np.sum(x * x) - 0.25) * x
+        return 2.0 * a * (x - 1.0) + 4.0 * ((x * x).sum() - 0.25) * x
 
     return np.arange(1.0, n + 1.0), value, gradient, None
 
@@ -177,7 +177,7 @@ def _two_well(n: int):
     """Separable tilted double well; nonconvex with two basins per coordinate."""
 
     def value(x):
-        return float(np.sum((x * x - 1.0) ** 2 + 0.1 * x))
+        return float(((x * x - 1.0) ** 2 + 0.1 * x).sum())
 
     def gradient(x):
         return 4.0 * x * (x * x - 1.0) + 0.1
@@ -215,7 +215,7 @@ def _engval1(n: int):
 
     def value(x):
         t = x[:-1] ** 2 + x[1:] ** 2
-        return float(np.sum(t * t) + np.sum(-4.0 * x[:-1] + 3.0))
+        return float((t * t).sum() + (-4.0 * x[:-1] + 3.0).sum())
 
     def gradient(x):
         t = x[:-1] ** 2 + x[1:] ** 2

@@ -34,7 +34,7 @@ from .core import (
     scaled_gradient_norm,
 )
 from .curvature import PairHistory
-from .direction import ScalingState, gamma_scale, two_loop_direction
+from .direction import gamma_scale, two_loop_direction
 from .linesearch import LineProbe, strong_wolfe_search
 from .step_control import FWindow, acceptance_ratio, model_reduction, nonmonotone_reference
 
@@ -48,7 +48,7 @@ class IterateState:
     g: Vector
     mu: float
     history: PairHistory
-    scaling: ScalingState
+    gamma: float
     fwindow: FWindow
     k: int = 0
 
@@ -117,7 +117,7 @@ def accept_step_rlbfgs(
     mu_bar = state.mu
     inner = 0
     while True:
-        d = two_loop_direction(state.history, state.g, mu_bar, state.scaling)
+        d = two_loop_direction(state.history, state.g, mu_bar, state.gamma)
         reduction = model_reduction(state.g, d)
         x_trial = state.x + d
         try:
@@ -182,8 +182,8 @@ def wolfe_extension_step(
     direction and the iterate moves by ``(1 + alpha) * d``. A failed search
     falls back to the already-accepted unit step and the run continues.
     """
-    d_dot_unit = float(d @ g_unit)
-    d_dot_prev = float(d @ g_prev)
+    d_dot_unit = float(d.dot(g_unit))
+    d_dot_prev = float(d.dot(g_prev))
     if not (d_dot_unit < config.c2 * d_dot_prev and mu_used == config.mu_min):
         return ExtensionResult(x_unit, f_unit, g_unit, d, None, False, False)
 
@@ -198,7 +198,7 @@ def wolfe_extension_step(
             return math.inf, 0.0
         stash["alpha"] = alpha
         stash["g"] = g_t
-        return f_t, float(d @ g_t)
+        return f_t, float(d.dot(g_t))
 
     probe = LineProbe(phi0=f_unit, dphi0=d_dot_unit, evaluator=along)
     try:
@@ -231,7 +231,7 @@ def _initial_state(objective, x0, config, counters) -> IterateState:
         g=g,
         mu=config.mu0,
         history=PairHistory(config.m),
-        scaling=ScalingState(1.0),
+        gamma=1.0,
         fwindow=fwindow,
     )
 
@@ -316,7 +316,7 @@ def _run_regularized(
             ext = ExtensionResult(x_unit, step.f_trial, g_unit, step.d, None, False, False)
 
         state.history.push(ext.s, ext.g - state.g)
-        state.scaling = gamma_scale(state.history.newest, config.alpha_floor)
+        state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
         state.fwindow.push(ext.f)
         if trace is not None:
             trace.append(TraceRecord(
@@ -392,10 +392,10 @@ def solve_lbfgs(
             return _report(decision, state, counters, t0, name, 0)
 
         try:
-            d = two_loop_direction(state.history, state.g, 0.0, state.scaling)
+            d = two_loop_direction(state.history, state.g, 0.0, state.gamma)
         except NumericalBreakdownError:
             return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, name, 0)
-        dphi0 = float(d @ state.g)
+        dphi0 = float(d.dot(state.g))
         if not dphi0 < 0.0:
             return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, name, 0)
 
@@ -409,7 +409,7 @@ def solve_lbfgs(
                 return math.inf, 0.0
             stash["alpha"] = alpha
             stash["g"] = g_t
-            return f_t, float(_d @ g_t)
+            return f_t, float(_d.dot(g_t))
 
         probe = LineProbe(phi0=state.f, dphi0=dphi0, evaluator=along)
         try:
@@ -428,7 +428,7 @@ def solve_lbfgs(
             except NumericalBreakdownError:
                 return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, name, 0)
         state.history.push(alpha * d, g_new - state.g)
-        state.scaling = gamma_scale(state.history.newest, config.alpha_floor)
+        state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
         if trace is not None:
             trace.append(TraceRecord(
                 k=state.k,

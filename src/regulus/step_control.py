@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterator
-
-import numpy as np
 
 from .core import NonpositiveModelReductionError, Vector
 
@@ -40,12 +39,12 @@ def model_reduction(gradient: Vector, d: Vector) -> float:
 
     Valid only for directions produced by the two-loop recursion for this
     gradient, for which the curvature term collapses and no matrix is needed.
+    Both arguments are float arrays of the same length.
     Strictly positive for a nonzero gradient; the degenerate all-zero case
     returns 0.
     """
-    g = np.asarray(gradient, dtype=float)
-    reduction = -0.5 * float(g @ np.asarray(d, dtype=float))
-    if reduction < 0.0 or (reduction == 0.0 and np.any(g)):
+    reduction = -0.5 * float(gradient.dot(d))
+    if reduction < 0.0 or (reduction == 0.0 and gradient.any()):
         raise NonpositiveModelReductionError(
             f"model predicts no reduction ({reduction!r}); not a descent direction"
         )
@@ -72,5 +71,4 @@ def nonmonotone_reference(window: FWindow, k: int, M: int) -> float:
     if M == 0 or k < M:
         return window.latest()
     take = min(k, M) + 1
-    values = list(window)
-    return max(values[-take:])
+    return max(islice(window, max(0, len(window) - take), None))

@@ -186,7 +186,6 @@ def _monotone_reference_run(problem, config):
     directly from the current iterate instead of the window.
     """
     from regulus.core import EvalCounter, check_termination, evaluate
-    from regulus.direction import ScalingState
     from regulus.solvers import update_mu
 
     counters = EvalCounter()
@@ -194,7 +193,7 @@ def _monotone_reference_run(problem, config):
     f = evaluate(problem.objective, x, counters, "value")
     g = evaluate(problem.objective, x, counters, "gradient")
     history = PairHistory(config.m)
-    scaling = ScalingState(1.0)
+    scaling = 1.0
     mu = config.mu0
     iterates = []
     while True:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,3 +150,20 @@ def test_profile_empty_intersection_exit_code(tmp_path, capsys):
     ])
     assert code == 1
     assert "no problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_closed_stdout_exits_without_traceback(tmp_path, command):
+    argv = {
+        "solve": ["solve", "rosenbrock:1000"],
+        "bench": ["bench", "--problems", "beale", "--solvers", "rlbfgs",
+                  "--out", str(tmp_path / "records.csv")],
+    }[command]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "regulus", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader goes away before the command writes
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == regulus.cli.BROKEN_PIPE
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -6,7 +6,6 @@ import pytest
 from regulus.core import NumericalBreakdownError
 from regulus.curvature import CurvaturePair, PairHistory, shifted_curvature
 from regulus.direction import (
-    ScalingState,
     dense_bfgs_oracle,
     gamma_scale,
     initial_diag,
@@ -34,7 +33,7 @@ def reference_two_loop(history, gradient, mu, scaling):
         q -= a * y_shifted
         alphas[i] = a
         shifted[i] = (y_shifted, tau)
-    r = initial_diag(scaling.gamma, mu) * q
+    r = initial_diag(scaling, mu) * q
     for i in range(len(pairs)):
         y_shifted, tau = shifted[i]
         beta = tau * float(y_shifted @ r)
@@ -51,16 +50,16 @@ def _outcome(fn, *args):
 
 def test_gamma_from_last_pair():
     pair = CurvaturePair.from_vectors([1.0, 0.0], [2.0, 0.0])
-    assert gamma_scale(pair, 1e-8).gamma == 0.5
+    assert gamma_scale(pair, 1e-8) == 0.5
 
 
 def test_gamma_default_without_pair():
-    assert gamma_scale(None, 1e-8).gamma == 1.0
+    assert gamma_scale(None, 1e-8) == 1.0
 
 
 def test_gamma_fallback_branch():
     pair = CurvaturePair.from_vectors([1.0, 0.0], [0.0, 1.0])  # s'y = 0
-    assert gamma_scale(pair, 1e-8).gamma == 1e-8
+    assert gamma_scale(pair, 1e-8) == 1e-8
 
 
 def test_gamma_zero_y_signals():
@@ -78,7 +77,7 @@ def test_gamma_always_positive(rng):
         pair = CurvaturePair.from_vectors(s, y)
         if pair.ss == 0.0 or pair.yy == 0.0:
             continue
-        assert gamma_scale(pair, 1e-8).gamma > 0.0
+        assert gamma_scale(pair, 1e-8) > 0.0
 
 
 def test_initial_diag_values():
@@ -97,7 +96,7 @@ def test_initial_diag_decreases_to_zero():
 def test_empty_history_is_scaled_steepest_descent():
     hist = PairHistory(5)
     g = np.array([4.0, -2.0])
-    d = two_loop_direction(hist, g, 0.0, ScalingState(1.0))
+    d = two_loop_direction(hist, g, 0.0, 1.0)
     np.testing.assert_array_equal(d, [-4.0, 2.0])
 
 
@@ -105,7 +104,7 @@ def test_scalar_case_matches_dense_bfgs():
     hist = PairHistory(1)
     hist.push([1.0], [2.0])
     scaling = gamma_scale(hist.newest, 1e-8)
-    assert scaling.gamma == 0.5
+    assert scaling == 0.5
     d0 = two_loop_direction(hist, np.array([1.0]), 0.0, scaling)
     assert d0[0] == pytest.approx(-0.5, abs=1e-15)
     assert dense_bfgs_oracle(hist, 0.0, scaling, 1)[0, 0] == pytest.approx(2.0)
@@ -116,13 +115,13 @@ def test_scalar_case_matches_dense_bfgs():
 
 def test_oracle_empty_history():
     hist = PairHistory(2)
-    b = dense_bfgs_oracle(hist, 2.0, ScalingState(0.5), 3)
+    b = dense_bfgs_oracle(hist, 2.0, 0.5, 3)
     np.testing.assert_allclose(b, np.eye(3) * 4.0)
 
 
 def test_oracle_rejects_large_dimension():
     with pytest.raises(ValueError):
-        dense_bfgs_oracle(PairHistory(1), 0.0, ScalingState(1.0), 65)
+        dense_bfgs_oracle(PairHistory(1), 0.0, 1.0, 65)
 
 
 def test_two_loop_matches_oracle(rng):
@@ -161,7 +160,7 @@ def test_descent_with_negative_curvature_pairs(rng):
         hist = PairHistory(4)
         for _ in range(int(rng.integers(1, 5))):
             hist.push(rng.standard_normal(n), rng.standard_normal(n))
-        scaling = ScalingState(float(10.0 ** rng.uniform(-2, 2)))
+        scaling = float(10.0 ** rng.uniform(-2, 2))
         g = rng.standard_normal(n)
         mu = float(10.0 ** rng.uniform(-3, 3))
         d = two_loop_direction(hist, g, mu, scaling)
@@ -203,8 +202,9 @@ def test_oracle_trace_growth_and_determinant(rng):
 def test_two_loop_zero_shifted_curvature_signals():
     hist = PairHistory(1)
     hist.push([1.0, 0.0], [-1.0, 0.0])  # s'y < 0, so mu = 0 gives s'y~ = 0
-    with pytest.raises(NumericalBreakdownError):
-        two_loop_direction(hist, np.array([1.0, 1.0]), 0.0, ScalingState(1.0))
+    for _ in range(2):  # a failed weight is never cached
+        with pytest.raises(NumericalBreakdownError):
+            two_loop_direction(hist, np.array([1.0, 1.0]), 0.0, 1.0)
 
 
 def test_two_loop_scales_to_large_n(rng):

@@ -12,7 +12,6 @@ from regulus.core import (
     Status,
 )
 from regulus.curvature import PairHistory, shifted_curvature
-from regulus.direction import ScalingState
 from regulus.problems import get_problem
 from regulus.solvers import (
     IterateState,
@@ -39,7 +38,7 @@ def fresh_state(objective, x0, config):
     window.push(f)
     state = IterateState(
         x=x, f=f, g=np.asarray(g, float), mu=config.mu0,
-        history=PairHistory(config.m), scaling=ScalingState(1.0), fwindow=window,
+        history=PairHistory(config.m), gamma=1.0, fwindow=window,
     )
     return state, counters
 
