@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Literal, Mapping, Optional, Union
+from typing import Callable, Literal, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -28,42 +28,61 @@ class Status(Enum):
 
 
 class SolverError(Exception):
-    """Base class for failures a solver turns into a report status."""
+    """Base class for failures a solver turns into a report status.
+
+    Each subclass names the ``status`` its run ends with.
+    """
+
+    status: Status
 
 
 class NumericalBreakdownError(SolverError):
     """A non-finite value appeared where a finite one is required."""
 
+    status = Status.NUMERICAL_BREAKDOWN
+
 
 class EvalBudgetExceededError(SolverError):
     """The function-evaluation budget ran out mid-iteration."""
+
+    status = Status.EVAL_BUDGET_EXCEEDED
 
 
 class RegularizationOverflowError(SolverError):
     """The regularization parameter escalated past its safeguard bound."""
 
+    status = Status.REGULARIZATION_OVERFLOW
+
 
 class LineSearchError(SolverError):
     """No acceptable step length was found."""
+
+    status = Status.LINE_SEARCH_FAILURE
 
 
 class NonpositiveModelReductionError(SolverError):
     """The quadratic model predicted no reduction for a nonzero gradient."""
 
+    status = Status.NUMERICAL_BREAKDOWN
 
-@dataclass
+
 class EvalCounter:
     """Running totals of objective and gradient evaluations for one run.
 
     Counters only ever increase, exactly once per underlying evaluation.
     """
 
-    n_f: int = 0
-    n_g: int = 0
+    __slots__ = ("n_f", "n_g")
+
+    def __init__(self, n_f: int = 0, n_g: int = 0):
+        self.n_f = n_f
+        self.n_g = n_g
+
+    def __repr__(self) -> str:
+        return f"EvalCounter(n_f={self.n_f}, n_g={self.n_g})"
 
 
-@dataclass(frozen=True)
-class Objective:
+class Objective(NamedTuple):
     """Smooth objective with an analytic gradient.
 
     ``value`` and ``gradient`` must be deterministic for a given point and
@@ -165,23 +184,43 @@ class SolverConfig:
         return cls.from_mapping(data)
 
 
-@dataclass
 class RunReport:
     """Outcome of one solver run.
 
     ``x`` carries the final iterate for programmatic use; it is not part of
-    the serialized report.
+    the serialized report. Fields stay assignable, so a caller can swap in
+    another iterate.
     """
 
-    status: Status
-    iterations: int
-    inner_iterations: int
-    counters: EvalCounter
-    final_f: float
-    final_residual: float
-    wall_time: float
-    solver_name: str
-    x: Optional[Vector] = None
+    __slots__ = (
+        "status", "iterations", "inner_iterations", "counters", "final_f",
+        "final_residual", "wall_time", "solver_name", "x",
+    )
+
+    def __init__(
+        self,
+        status: Status,
+        iterations: int,
+        inner_iterations: int,
+        counters: EvalCounter,
+        final_f: float,
+        final_residual: float,
+        wall_time: float,
+        solver_name: str,
+        x: Optional[Vector] = None,
+    ):
+        self.status = status
+        self.iterations = iterations
+        self.inner_iterations = inner_iterations
+        self.counters = counters
+        self.final_f = final_f
+        self.final_residual = final_residual
+        self.wall_time = wall_time
+        self.solver_name = solver_name
+        self.x = x
+
+    def __repr__(self) -> str:
+        return f"RunReport({self.to_dict()!r})"
 
     def to_dict(self) -> dict:
         return {

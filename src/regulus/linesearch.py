@@ -8,7 +8,6 @@ evaluation accounting they need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .core import LineSearchError
@@ -17,7 +16,6 @@ ALPHA_MIN = 1e-20
 ALPHA_MAX = 1e20
 
 
-@dataclass(frozen=True)
 class LineProbe:
     """1-D view of the objective along a descent direction.
 
@@ -25,13 +23,19 @@ class LineProbe:
     base point; ``dphi0`` must be negative.
     """
 
-    phi0: float
-    dphi0: float
-    evaluator: Callable[[float], Tuple[float, float]]
+    __slots__ = ("phi0", "dphi0", "evaluator")
 
-    def __post_init__(self):
-        if not self.dphi0 < 0.0:
+    def __init__(
+        self,
+        phi0: float,
+        dphi0: float,
+        evaluator: Callable[[float], Tuple[float, float]],
+    ):
+        if not dphi0 < 0.0:
             raise ValueError("base directional derivative must be negative")
+        self.phi0 = phi0
+        self.dphi0 = dphi0
+        self.evaluator = evaluator
 
 
 def _cubic_minimizer(a, fa, dfa, b, fb, dfb):

@@ -8,16 +8,14 @@ consistency checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .core import Objective, Vector
 
 
-@dataclass(frozen=True)
-class ProblemDef:
+class ProblemDef(NamedTuple):
     """A named problem instance: objective, standard start, known optimum."""
 
     name: str

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -21,12 +20,12 @@ from .core import (
     EvalBudgetExceededError,
     EvalCounter,
     LineSearchError,
-    NonpositiveModelReductionError,
     NumericalBreakdownError,
     Objective,
     RegularizationOverflowError,
     RunReport,
     SolverConfig,
+    SolverError,
     Status,
     Vector,
     check_termination,
@@ -39,22 +38,33 @@ from .linesearch import LineProbe, strong_wolfe_search
 from .step_control import FWindow, acceptance_ratio, model_reduction, nonmonotone_reference
 
 
-@dataclass
 class IterateState:
     """Mutable per-run state owned by a single solver loop."""
 
-    x: Vector
-    f: float
-    g: Vector
-    mu: float
-    history: PairHistory
-    gamma: float
-    fwindow: FWindow
-    k: int = 0
+    __slots__ = ("x", "f", "g", "mu", "history", "gamma", "fwindow", "k")
+
+    def __init__(
+        self,
+        x: Vector,
+        f: float,
+        g: Vector,
+        mu: float,
+        history: PairHistory,
+        gamma: float,
+        fwindow: FWindow,
+        k: int = 0,
+    ):
+        self.x = x
+        self.f = f
+        self.g = g
+        self.mu = mu
+        self.history = history
+        self.gamma = gamma
+        self.fwindow = fwindow
+        self.k = k
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One per-iteration trace entry.
 
     The serialized form carries the stable keys ``k, mu, ratio, gnorm,
@@ -182,9 +192,13 @@ def wolfe_extension_step(
     direction and the iterate moves by ``(1 + alpha) * d``. A failed search
     falls back to the already-accepted unit step and the run continues.
     """
-    d_dot_unit = float(d.dot(g_unit))
-    d_dot_prev = float(d.dot(g_prev))
-    if not (d_dot_unit < config.c2 * d_dot_prev and mu_used == config.mu_min):
+    # The floor test costs one comparison, so it goes first and the two dot
+    # products are taken only when it holds.
+    fire = False
+    if mu_used == config.mu_min:
+        d_dot_unit = float(d.dot(g_unit))
+        fire = d_dot_unit < config.c2 * float(d.dot(g_prev))
+    if not fire:
         return ExtensionResult(x_unit, f_unit, g_unit, d, None, False, False)
 
     stash: Dict[str, object] = {}
@@ -197,6 +211,7 @@ def wolfe_extension_step(
             # An exploding probe just fails sufficient decrease.
             return math.inf, 0.0
         stash["alpha"] = alpha
+        stash["x"] = x_t
         stash["g"] = g_t
         return f_t, float(d.dot(g_t))
 
@@ -207,10 +222,10 @@ def wolfe_extension_step(
         )
     except LineSearchError:
         return ExtensionResult(x_unit, f_unit, g_unit, d, None, True, True)
-    x_new = x_unit + alpha * d
     if stash.get("alpha") == alpha:
-        g_new = stash["g"]
+        x_new, g_new = stash["x"], stash["g"]
     else:
+        x_new = x_unit + alpha * d
         g_new = evaluate(objective, x_new, counters, "gradient")
     return ExtensionResult(x_new, phi_alpha, g_new, (1.0 + alpha) * d, alpha, True, False)
 
@@ -271,68 +286,51 @@ def _run_regularized(
 ) -> RunReport:
     counters = EvalCounter()
     t0 = time.perf_counter()
+    state = None
+    inner_total = 0
     try:
         state = _initial_state(objective, x0, config, counters)
-    except NumericalBreakdownError:
-        return _report(Status.NUMERICAL_BREAKDOWN, None, counters, t0, solver_name, 0)
-    inner_total = 0
-    while True:
-        try:
+        while True:
             decision = check_termination(state.g, state.x, counters, config)
-        except NumericalBreakdownError:
-            return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, solver_name, inner_total)
-        if decision is not None:
-            return _report(decision, state, counters, t0, solver_name, inner_total)
+            if decision is not None:
+                return _report(decision, state, counters, t0, solver_name, inner_total)
 
-        try:
             step = accept_step_rlbfgs(state, config, objective, counters)
-        except EvalBudgetExceededError:
-            return _report(Status.EVAL_BUDGET_EXCEEDED, state, counters, t0, solver_name, inner_total)
-        except RegularizationOverflowError:
-            return _report(Status.REGULARIZATION_OVERFLOW, state, counters, t0, solver_name, inner_total)
-        except (NumericalBreakdownError, NonpositiveModelReductionError):
-            return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, solver_name, inner_total)
-        inner_total += step.inner_iters
-        mu_next = update_mu(step.mu_used, step.ratio, config)
+            inner_total += step.inner_iters
+            mu_next = update_mu(step.mu_used, step.ratio, config)
 
-        x_unit = step.x
-        try:
             # One gradient evaluation per accepted step; it serves the
             # extension trigger, the new curvature pair, and the next
             # iteration alike.
-            g_unit = evaluate(objective, x_unit, counters, "gradient")
-        except NumericalBreakdownError:
-            return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, solver_name, inner_total)
-
-        if wolfe_extension:
-            try:
+            g_unit = evaluate(objective, step.x, counters, "gradient")
+            if wolfe_extension:
                 ext = wolfe_extension_step(
-                    objective, counters, config, x_unit, step.d,
+                    objective, counters, config, step.x, step.d,
                     step.f_trial, g_unit, state.g, step.mu_used,
                 )
-            except NumericalBreakdownError:
-                return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, solver_name, inner_total)
-        else:
-            ext = ExtensionResult(x_unit, step.f_trial, g_unit, step.d, None, False, False)
+            else:
+                ext = ExtensionResult(step.x, step.f_trial, g_unit, step.d, None, False, False)
 
-        state.history.push(ext.s, ext.g - state.g)
-        state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
-        state.fwindow.push(ext.f)
-        if trace is not None:
-            trace.append(TraceRecord(
-                k=state.k,
-                mu=step.mu_used,
-                ratio=step.ratio,
-                gnorm=float(np.linalg.norm(state.g)),
-                alpha=ext.alpha,
-                nf=counters.n_f,
-                f=ext.f,
-                f_unit=step.f_trial,
-                ls_failed=ext.ls_failed,
-            ))
-        state.x, state.f, state.g = ext.x, ext.f, ext.g
-        state.mu = mu_next
-        state.k += 1
+            state.history.push(ext.s, ext.g - state.g)
+            state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
+            state.fwindow.push(ext.f)
+            if trace is not None:
+                trace.append(TraceRecord(
+                    k=state.k,
+                    mu=step.mu_used,
+                    ratio=step.ratio,
+                    gnorm=float(np.linalg.norm(state.g)),
+                    alpha=ext.alpha,
+                    nf=counters.n_f,
+                    f=ext.f,
+                    f_unit=step.f_trial,
+                    ls_failed=ext.ls_failed,
+                ))
+            state.x, state.f, state.g = ext.x, ext.f, ext.g
+            state.mu = mu_next
+            state.k += 1
+    except SolverError as exc:
+        return _report(exc.status, state, counters, t0, solver_name, inner_total)
 
 
 def solve_rlbfgs(
@@ -379,69 +377,58 @@ def solve_lbfgs(
     counters = EvalCounter()
     t0 = time.perf_counter()
     name = "lbfgs"
+    state = None
     try:
         state = _initial_state(objective, x0, config, counters)
-    except NumericalBreakdownError:
-        return _report(Status.NUMERICAL_BREAKDOWN, None, counters, t0, name, 0)
-    while True:
-        try:
+        while True:
             decision = check_termination(state.g, state.x, counters, config)
-        except NumericalBreakdownError:
-            return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, name, 0)
-        if decision is not None:
-            return _report(decision, state, counters, t0, name, 0)
+            if decision is not None:
+                return _report(decision, state, counters, t0, name, 0)
 
-        try:
             d = two_loop_direction(state.history, state.g, 0.0, state.gamma)
-        except NumericalBreakdownError:
-            return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, name, 0)
-        dphi0 = float(d.dot(state.g))
-        if not dphi0 < 0.0:
-            return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, name, 0)
+            dphi0 = float(d.dot(state.g))
+            if not dphi0 < 0.0:
+                return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, name, 0)
 
-        stash: Dict[str, object] = {}
+            stash: Dict[str, object] = {}
 
-        def along(alpha, _x=state.x, _d=d):
-            x_t = _x + alpha * _d
-            try:
-                f_t, g_t = evaluate(objective, x_t, counters, "both")
-            except NumericalBreakdownError:
-                return math.inf, 0.0
-            stash["alpha"] = alpha
-            stash["g"] = g_t
-            return f_t, float(_d.dot(g_t))
+            def along(alpha, _x=state.x, _d=d):
+                x_t = _x + alpha * _d
+                try:
+                    f_t, g_t = evaluate(objective, x_t, counters, "both")
+                except NumericalBreakdownError:
+                    return math.inf, 0.0
+                stash["alpha"] = alpha
+                stash["x"] = x_t
+                stash["g"] = g_t
+                return f_t, float(_d.dot(g_t))
 
-        probe = LineProbe(phi0=state.f, dphi0=dphi0, evaluator=along)
-        try:
+            probe = LineProbe(phi0=state.f, dphi0=dphi0, evaluator=along)
             alpha, phi_alpha, _ = strong_wolfe_search(
                 probe, config.c1, config.c2, 1.0, config.max_ls_iters
             )
-        except LineSearchError:
-            return _report(Status.LINE_SEARCH_FAILURE, state, counters, t0, name, 0)
-
-        x_new = state.x + alpha * d
-        if stash.get("alpha") == alpha:
-            g_new = stash["g"]
-        else:
-            try:
+            if stash.get("alpha") == alpha:
+                x_new, g_new = stash["x"], stash["g"]
+            else:
+                x_new = state.x + alpha * d
                 g_new = evaluate(objective, x_new, counters, "gradient")
-            except NumericalBreakdownError:
-                return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, name, 0)
-        state.history.push(alpha * d, g_new - state.g)
-        state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
-        if trace is not None:
-            trace.append(TraceRecord(
-                k=state.k,
-                mu=0.0,
-                ratio=None,
-                gnorm=float(np.linalg.norm(state.g)),
-                alpha=alpha,
-                nf=counters.n_f,
-                f=phi_alpha,
-                f_unit=phi_alpha,
-            ))
-        state.x, state.f, state.g = x_new, phi_alpha, g_new
-        state.k += 1
+            state.history.push(alpha * d, g_new - state.g)
+            state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
+            if trace is not None:
+                trace.append(TraceRecord(
+                    k=state.k,
+                    mu=0.0,
+                    ratio=None,
+                    gnorm=float(np.linalg.norm(state.g)),
+                    alpha=alpha,
+                    nf=counters.n_f,
+                    f=phi_alpha,
+                    f_unit=phi_alpha,
+                ))
+            state.x, state.f, state.g = x_new, phi_alpha, g_new
+            state.k += 1
+    except SolverError as exc:
+        return _report(exc.status, state, counters, t0, name, 0)
 
 
 SOLVERS: Dict[str, Callable[..., RunReport]] = {

@@ -197,6 +197,21 @@ def test_immediate_convergence_at_stationary_start(solve):
     assert report.counters.n_g == 1
 
 
+@pytest.mark.parametrize("solve, status", [
+    (solve_lbfgs, Status.LINE_SEARCH_FAILURE),
+    (solve_rlbfgs, Status.NUMERICAL_BREAKDOWN),
+    (solve_rlbfgs_sw, Status.NUMERICAL_BREAKDOWN),
+])
+def test_linear_objective_ends_in_a_report(solve, status):
+    # f = c'x has a constant gradient, so the first stored pair has y = 0
+    # and the scale of the initial matrix is undefined.
+    c = np.array([1.0, -2.0, 0.5])
+    objective = Objective(3, lambda x: float(c.dot(x)), lambda x: c.copy())
+    report = solve(objective, np.zeros(3))
+    assert report.status is status
+    assert report.iterations == 0
+
+
 def test_lbfgs_quadratic_single_iteration():
     objective = quadratic_objective(np.ones(3))
     report = solve_lbfgs(objective, np.array([1.0, -2.0, 2.0]))
