@@ -14,8 +14,8 @@ from .solvers import SOLVERS, TraceRecord, solve_lbfgs, solve_rlbfgs, solve_rlbf
 
 __version__ = "0.1.0"
 
-# The batch harness (CSV records, a thread pool, profiles) is imported on
-# first use of one of its names, so that solving pays nothing for it.
+# The batch harness (CSV records, profiles) is imported on first use of one
+# of its names, so that solving pays nothing for it.
 _HARNESS_NAMES = frozenset({
     "EmptyIntersectionError",
     "ProfileCurve",

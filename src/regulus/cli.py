@@ -47,6 +47,12 @@ def _select_problems(selection: str):
     return [get_problem(item) for item in selection.split(",") if item]
 
 
+def _usage_error(args, exc) -> int:
+    args.parser.print_usage(sys.stderr)
+    print(f"error: {exc}", file=sys.stderr)
+    return USAGE_ERROR
+
+
 def cmd_solve(args) -> int:
     try:
         config = _build_config(args)
@@ -54,9 +60,7 @@ def cmd_solve(args) -> int:
         # Opened before the solve so that a bad path fails fast.
         trace_file = open(args.trace, "w") if args.trace else contextlib.nullcontext()
     except (KeyError, ValueError, OSError) as exc:
-        args.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(args, exc)
     trace = [] if args.trace else None
     with trace_file:
         report = SOLVERS[args.solver](problem.objective, problem.x0, config, trace=trace)
@@ -76,19 +80,13 @@ def cmd_bench(args) -> int:
         for solver in solvers:
             if solver not in SOLVERS:
                 raise ValueError(f"unknown solver: {solver!r}")
-        jobs = args.jobs
-        env_jobs = os.environ.get("REGULUS_JOBS")
-        if env_jobs:
-            try:
-                jobs = int(env_jobs)
-            except ValueError:
-                raise ValueError(f"REGULUS_JOBS must be an integer, got {env_jobs!r}") from None
+        # Opened before the batch so that a bad path fails fast.
+        out = open(args.out, "w", newline="")
     except (KeyError, ValueError, OSError) as exc:
-        args.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    records = run_batch(problems, solvers, config, jobs=jobs)
-    write_records(records, args.out)
+        return _usage_error(args, exc)
+    with out:
+        records = run_batch(problems, solvers, config)
+        write_records(records, out)
     solved = sum(1 for r in records if r.status is Status.CONVERGED)
     print(f"wrote {len(records)} records to {args.out} ({solved} converged)")
     return 0
@@ -101,16 +99,17 @@ def cmd_profile(args) -> int:
             [float(t) for t in args.tau.split(",")] if args.tau else DEFAULT_TAU_GRID
         )
         metric = {"nf": "n_f", "time": "wall_time"}[args.metric]
-    except (KeyError, ValueError, OSError) as exc:
-        args.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
         curves = performance_profile(records, metric, tau_grid, union=args.union)
+        out = open(args.out, "w", newline="")
     except EmptyIntersectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_profile(curves, args.out)
+    except (KeyError, ValueError, OSError) as exc:
+        # A tau below 1 and a repeated (problem, solver) record are
+        # ValueErrors of performance_profile.
+        return _usage_error(args, exc)
+    with out:
+        write_profile(curves, out)
     return 0
 
 
@@ -139,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--problems", default="all", help="'all' or comma list of name[:n]")
     p_bench.add_argument("--solvers", default=",".join(sorted(SOLVERS)), help="comma list")
     p_bench.add_argument("--out", required=True, help="records CSV path")
-    p_bench.add_argument("--jobs", type=int, default=1,
-                         help="parallel runs (REGULUS_JOBS overrides)")
     add_config_options(p_bench)
     p_bench.set_defaults(func=cmd_bench, parser=p_bench)
 

@@ -7,11 +7,11 @@ curves used to compare solvers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .core import RunReport, SolverConfig, Status
 from .problems import ProblemDef
@@ -74,9 +74,8 @@ def run_batch(
     problems: Sequence[ProblemDef],
     solvers: Sequence[str],
     config: Optional[SolverConfig] = None,
-    jobs: int = 1,
 ) -> List[RunRecord]:
-    """Run every (problem, solver) cell with fresh state.
+    """Run every (problem, solver) cell with fresh state, one after another.
 
     Individual failures become that record's status; the batch itself never
     aborts. Records come back in canonical (problem, solver) order and their
@@ -88,10 +87,8 @@ def run_batch(
     if unknown:
         raise KeyError(f"unknown solvers: {unknown}")
     config = config or SolverConfig()
-    cells = [(p, s) for p in problems for s in solvers]
 
-    def run_cell(cell) -> RunRecord:
-        problem, solver = cell
+    def run_cell(problem, solver) -> RunRecord:
         try:
             report = SOLVERS[solver](problem.objective, problem.x0, config)
             return RunRecord.from_report(problem.name, report)
@@ -107,11 +104,7 @@ def run_batch(
                 final_residual=float("inf"),
             )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_cell, cells))
-    else:
-        records = [run_cell(cell) for cell in cells]
+    records = [run_cell(p, s) for p in problems for s in solvers]
     records.sort(key=lambda r: (r.problem, r.solver))
     return records
 
@@ -132,7 +125,7 @@ def performance_profile(
     """
     if metric not in ("n_f", "wall_time"):
         raise ValueError(f"unsupported metric: {metric!r}")
-    if not tau_grid or any(t < 1.0 for t in tau_grid):
+    if not tau_grid or any(not t >= 1.0 for t in tau_grid):  # NaN too
         raise ValueError("tau grid values must be >= 1")
     solvers = sorted({r.solver for r in records})
     by_problem: Dict[str, Dict[str, RunRecord]] = {}
@@ -175,8 +168,16 @@ def performance_profile(
     return curves
 
 
-def write_records(records: Iterable[RunRecord], path: Union[str, Path]) -> None:
-    with open(path, "w", newline="") as handle:
+def _output(path: Union[str, Path, TextIO]):
+    """A text file opened with ``newline=""`` is written as it is; a path is
+    opened (and closed again) for writing."""
+    if isinstance(path, (str, Path)):
+        return open(path, "w", newline="")
+    return contextlib.nullcontext(path)
+
+
+def write_records(records: Iterable[RunRecord], path: Union[str, Path, TextIO]) -> None:
+    with _output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_FIELDS)
         for r in records:
@@ -213,8 +214,8 @@ def read_records(path: Union[str, Path]) -> List[RunRecord]:
     return records
 
 
-def write_profile(curves: Iterable[ProfileCurve], path: Union[str, Path]) -> None:
-    with open(path, "w", newline="") as handle:
+def write_profile(curves: Iterable[ProfileCurve], path: Union[str, Path, TextIO]) -> None:
+    with _output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["solver", "tau", "fraction"])
         for curve in curves:

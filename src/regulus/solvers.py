@@ -1,10 +1,12 @@
-"""Iteration drivers: baseline L-BFGS with strong Wolfe search, the
-regularized variant driven by a ratio test, and the regularized variant with
-an opportunistic Wolfe step extension.
+"""Solvers: baseline L-BFGS with strong Wolfe search, the regularized
+variant driven by a ratio test, and the regularized variant with an
+opportunistic Wolfe step extension.
 
-All three share the curvature store, two-loop direction, step control, and
-line search; the baseline is exactly the regularized direction code at
-``mu = 0``, so comparisons isolate the regularization itself.
+All three run through one iteration driver (`_run`) and differ only in the
+step policy that chooses each step. They share the curvature store, two-loop
+direction, step control, and one Wolfe search along a ray; the baseline is
+exactly the regularized direction code at ``mu = 0``, so comparisons isolate
+the regularization itself.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -26,7 +29,6 @@ from .core import (
     RunReport,
     SolverConfig,
     SolverError,
-    Status,
     Vector,
     check_termination,
     evaluate,
@@ -39,9 +41,10 @@ from .step_control import FWindow, acceptance_ratio, model_reduction, nonmonoton
 
 
 class IterateState:
-    """Mutable per-run state owned by a single solver loop."""
+    """Mutable per-run state owned by a single solver loop. ``inner``
+    counts the rejected trial steps of the run so far."""
 
-    __slots__ = ("x", "f", "g", "mu", "history", "gamma", "fwindow", "k")
+    __slots__ = ("x", "f", "g", "mu", "history", "gamma", "fwindow", "k", "inner")
 
     def __init__(
         self,
@@ -62,6 +65,7 @@ class IterateState:
         self.gamma = gamma
         self.fwindow = fwindow
         self.k = k
+        self.inner = 0
 
 
 class TraceRecord(NamedTuple):
@@ -172,6 +176,34 @@ class ExtensionResult(NamedTuple):
     ls_failed: bool
 
 
+def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0):
+    """Strong Wolfe search from ``x0`` along ``d`` with unit initial step.
+
+    Returns ``(alpha, x, f, g)`` at the accepted point, reusing the probe
+    that evaluated it. A probe whose evaluation breaks down just fails
+    sufficient decrease. Raises :class:`LineSearchError` when no step is found.
+    """
+    probed = []
+
+    def along(alpha: float):
+        x_t = x0 + alpha * d
+        try:
+            f_t, g_t = evaluate(objective, x_t, counters, "both")
+        except NumericalBreakdownError:
+            return math.inf, 0.0
+        probed[:] = (x_t, g_t)
+        return f_t, float(d.dot(g_t))
+
+    alpha, f, _ = strong_wolfe_search(
+        LineProbe(phi0=f0, dphi0=dphi0, evaluator=along),
+        config.c1, config.c2, 1.0, config.max_ls_iters,
+    )
+    # The search only accepts the point of its last probe, and a probe that
+    # broke down (phi = inf) never passes sufficient decrease.
+    x, g = probed
+    return alpha, x, f, g
+
+
 def wolfe_extension_step(
     objective: Objective,
     counters: EvalCounter,
@@ -201,33 +233,13 @@ def wolfe_extension_step(
     if not fire:
         return ExtensionResult(x_unit, f_unit, g_unit, d, None, False, False)
 
-    stash: Dict[str, object] = {}
-
-    def along(alpha: float):
-        x_t = x_unit + alpha * d
-        try:
-            f_t, g_t = evaluate(objective, x_t, counters, "both")
-        except NumericalBreakdownError:
-            # An exploding probe just fails sufficient decrease.
-            return math.inf, 0.0
-        stash["alpha"] = alpha
-        stash["x"] = x_t
-        stash["g"] = g_t
-        return f_t, float(d.dot(g_t))
-
-    probe = LineProbe(phi0=f_unit, dphi0=d_dot_unit, evaluator=along)
     try:
-        alpha, phi_alpha, _ = strong_wolfe_search(
-            probe, config.c1, config.c2, 1.0, config.max_ls_iters
+        alpha, x_new, f_new, g_new = _wolfe_ray(
+            objective, counters, config, x_unit, d, f_unit, d_dot_unit
         )
     except LineSearchError:
         return ExtensionResult(x_unit, f_unit, g_unit, d, None, True, True)
-    if stash.get("alpha") == alpha:
-        x_new, g_new = stash["x"], stash["g"]
-    else:
-        x_new = x_unit + alpha * d
-        g_new = evaluate(objective, x_new, counters, "gradient")
-    return ExtensionResult(x_new, phi_alpha, g_new, (1.0 + alpha) * d, alpha, True, False)
+    return ExtensionResult(x_new, f_new, g_new, (1.0 + alpha) * d, alpha, True, False)
 
 
 def _initial_state(objective, x0, config, counters) -> IterateState:
@@ -251,7 +263,7 @@ def _initial_state(objective, x0, config, counters) -> IterateState:
     )
 
 
-def _report(status, state, counters, t0, solver_name, inner_total) -> RunReport:
+def _report(status, state, counters, t0, solver_name) -> RunReport:
     if state is None:
         return RunReport(
             status=status,
@@ -266,7 +278,7 @@ def _report(status, state, counters, t0, solver_name, inner_total) -> RunReport:
     return RunReport(
         status=status,
         iterations=state.k,
-        inner_iterations=inner_total,
+        inner_iterations=state.inner,
         counters=counters,
         final_f=state.f,
         final_residual=scaled_gradient_norm(state.g, state.x),
@@ -276,61 +288,91 @@ def _report(status, state, counters, t0, solver_name, inner_total) -> RunReport:
     )
 
 
-def _run_regularized(
-    objective: Objective,
-    x0: Vector,
-    config: SolverConfig,
-    trace: Optional[List[TraceRecord]],
-    solver_name: str,
-    wolfe_extension: bool,
-) -> RunReport:
+def _line_search_step(state, objective, config, counters):
+    """lbfgs: a strong Wolfe search along the ``mu = 0`` direction."""
+    d = two_loop_direction(state.history, state.g, 0.0, state.gamma)
+    dphi0 = float(d.dot(state.g))
+    if not dphi0 < 0.0:
+        raise NumericalBreakdownError(f"not a descent direction: d'g = {dphi0!r}")
+    alpha, x, f, g = _wolfe_ray(objective, counters, config, state.x, d, state.f, dphi0)
+    return x, f, g, alpha * d, alpha, False, 0.0, state.mu, None, f
+
+
+def _regularized_step(state, objective, config, counters, extend=False):
+    """rlbfgs: the regularized unit step that passes the ratio test; with
+    ``extend`` (rlbfgs-sw), extended by a Wolfe search at the mu floor."""
+    step = accept_step_rlbfgs(state, config, objective, counters)
+    state.inner += step.inner_iters
+    mu_next = update_mu(step.mu_used, step.ratio, config)
+    # One gradient evaluation per accepted step; it serves the extension
+    # trigger, the new curvature pair, and the next iteration alike.
+    g_unit = evaluate(objective, step.x, counters, "gradient")
+    x, f, g, s, alpha, ls_failed = step.x, step.f_trial, g_unit, step.d, None, False
+    if extend:
+        x, f, g, s, alpha, _, ls_failed = wolfe_extension_step(
+            objective, counters, config, step.x, step.d,
+            step.f_trial, g_unit, state.g, step.mu_used,
+        )
+    return x, f, g, s, alpha, ls_failed, step.mu_used, mu_next, step.ratio, step.f_trial
+
+
+def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
+    """The iteration loop of every solver.
+
+    ``take_step(state, objective, config, counters)`` chooses the step and
+    returns ``(x, f, g, s, alpha, ls_failed, mu, mu_next, ratio, f_unit)``:
+    the next iterate, the curvature step ``s`` to it, and what the trace
+    records (``alpha`` is None without a search, ``mu`` is the
+    regularization the step was taken at, ``mu_next`` the one the next step
+    starts from, ``f_unit`` the value before any extension). This loop does
+    the rest; any :class:`SolverError` ends the run as a report with that
+    error's status.
+    """
+    config = config or SolverConfig()
     counters = EvalCounter()
     t0 = time.perf_counter()
     state = None
-    inner_total = 0
     try:
         state = _initial_state(objective, x0, config, counters)
         while True:
             decision = check_termination(state.g, state.x, counters, config)
             if decision is not None:
-                return _report(decision, state, counters, t0, solver_name, inner_total)
-
-            step = accept_step_rlbfgs(state, config, objective, counters)
-            inner_total += step.inner_iters
-            mu_next = update_mu(step.mu_used, step.ratio, config)
-
-            # One gradient evaluation per accepted step; it serves the
-            # extension trigger, the new curvature pair, and the next
-            # iteration alike.
-            g_unit = evaluate(objective, step.x, counters, "gradient")
-            if wolfe_extension:
-                ext = wolfe_extension_step(
-                    objective, counters, config, step.x, step.d,
-                    step.f_trial, g_unit, state.g, step.mu_used,
-                )
-            else:
-                ext = ExtensionResult(step.x, step.f_trial, g_unit, step.d, None, False, False)
-
-            state.history.push(ext.s, ext.g - state.g)
+                return _report(decision, state, counters, t0, solver_name)
+            (x, f, g, s, alpha, ls_failed,
+             mu, mu_next, ratio, f_unit) = take_step(state, objective, config, counters)
+            state.history.push(s, g - state.g)
             state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
-            state.fwindow.push(ext.f)
+            state.fwindow.push(f)
             if trace is not None:
                 trace.append(TraceRecord(
                     k=state.k,
-                    mu=step.mu_used,
-                    ratio=step.ratio,
+                    mu=mu,
+                    ratio=ratio,
                     gnorm=float(np.linalg.norm(state.g)),
-                    alpha=ext.alpha,
+                    alpha=alpha,
                     nf=counters.n_f,
-                    f=ext.f,
-                    f_unit=step.f_trial,
-                    ls_failed=ext.ls_failed,
+                    f=f,
+                    f_unit=f_unit,
+                    ls_failed=ls_failed,
                 ))
-            state.x, state.f, state.g = ext.x, ext.f, ext.g
-            state.mu = mu_next
+            state.x, state.f, state.g, state.mu = x, f, g, mu_next
             state.k += 1
     except SolverError as exc:
-        return _report(exc.status, state, counters, t0, solver_name, inner_total)
+        return _report(exc.status, state, counters, t0, solver_name)
+
+
+def solve_lbfgs(
+    objective: Objective,
+    x0: Vector,
+    config: Optional[SolverConfig] = None,
+    trace: Optional[List[TraceRecord]] = None,
+) -> RunReport:
+    """Baseline limited-memory BFGS with a strong Wolfe line search.
+
+    Uses the shared direction code at ``mu = 0`` and unit initial step
+    length; a failed line search terminates the run with that status.
+    """
+    return _run(objective, x0, config, trace, "lbfgs", _line_search_step)
 
 
 def solve_rlbfgs(
@@ -341,7 +383,7 @@ def solve_rlbfgs(
 ) -> RunReport:
     """Regularized L-BFGS: unit steps accepted by the ratio test, with the
     regularization parameter controlled like a trust-region radius."""
-    return _run_regularized(objective, x0, config or SolverConfig(), trace, "rlbfgs", False)
+    return _run(objective, x0, config, trace, "rlbfgs", _regularized_step)
 
 
 def solve_rlbfgs_sw(
@@ -357,78 +399,8 @@ def solve_rlbfgs_sw(
     ``use_wolfe_trigger=False`` disables the extension entirely, reproducing
     `solve_rlbfgs` exactly; it exists for A/B comparisons.
     """
-    return _run_regularized(
-        objective, x0, config or SolverConfig(), trace, "rlbfgs-sw", use_wolfe_trigger
-    )
-
-
-def solve_lbfgs(
-    objective: Objective,
-    x0: Vector,
-    config: Optional[SolverConfig] = None,
-    trace: Optional[List[TraceRecord]] = None,
-) -> RunReport:
-    """Baseline limited-memory BFGS with a strong Wolfe line search.
-
-    Uses the shared direction code at ``mu = 0`` and unit initial step
-    length; a failed line search terminates the run with that status.
-    """
-    config = config or SolverConfig()
-    counters = EvalCounter()
-    t0 = time.perf_counter()
-    name = "lbfgs"
-    state = None
-    try:
-        state = _initial_state(objective, x0, config, counters)
-        while True:
-            decision = check_termination(state.g, state.x, counters, config)
-            if decision is not None:
-                return _report(decision, state, counters, t0, name, 0)
-
-            d = two_loop_direction(state.history, state.g, 0.0, state.gamma)
-            dphi0 = float(d.dot(state.g))
-            if not dphi0 < 0.0:
-                return _report(Status.NUMERICAL_BREAKDOWN, state, counters, t0, name, 0)
-
-            stash: Dict[str, object] = {}
-
-            def along(alpha, _x=state.x, _d=d):
-                x_t = _x + alpha * _d
-                try:
-                    f_t, g_t = evaluate(objective, x_t, counters, "both")
-                except NumericalBreakdownError:
-                    return math.inf, 0.0
-                stash["alpha"] = alpha
-                stash["x"] = x_t
-                stash["g"] = g_t
-                return f_t, float(_d.dot(g_t))
-
-            probe = LineProbe(phi0=state.f, dphi0=dphi0, evaluator=along)
-            alpha, phi_alpha, _ = strong_wolfe_search(
-                probe, config.c1, config.c2, 1.0, config.max_ls_iters
-            )
-            if stash.get("alpha") == alpha:
-                x_new, g_new = stash["x"], stash["g"]
-            else:
-                x_new = state.x + alpha * d
-                g_new = evaluate(objective, x_new, counters, "gradient")
-            state.history.push(alpha * d, g_new - state.g)
-            state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
-            if trace is not None:
-                trace.append(TraceRecord(
-                    k=state.k,
-                    mu=0.0,
-                    ratio=None,
-                    gnorm=float(np.linalg.norm(state.g)),
-                    alpha=alpha,
-                    nf=counters.n_f,
-                    f=phi_alpha,
-                    f_unit=phi_alpha,
-                ))
-            state.x, state.f, state.g = x_new, phi_alpha, g_new
-            state.k += 1
-    except SolverError as exc:
-        return _report(exc.status, state, counters, t0, name, 0)
+    return _run(objective, x0, config, trace, "rlbfgs-sw",
+                partial(_regularized_step, extend=use_wolfe_trigger))
 
 
 SOLVERS: Dict[str, Callable[..., RunReport]] = {

@@ -112,27 +112,30 @@ def test_bench_unknown_solver_is_usage_error(capsys):
     assert main(["bench", "--solvers", "nope", "--out", "/tmp/x.csv"]) == 2
 
 
-def test_bench_jobs_env_override(tmp_path, monkeypatch, capsys):
-    records_path = tmp_path / "records.csv"
-    monkeypatch.setenv("REGULUS_JOBS", "3")
-    code = main([
-        "bench",
-        "--problems", "rosenbrock:2",
-        "--solvers", "lbfgs,rlbfgs",
-        "--jobs", "1",
-        "--out", str(records_path),
-    ])
-    assert code == 0
-    assert len(read_records(records_path)) == 2
-
-
-def test_bench_bad_jobs_env_is_usage_error(tmp_path, monkeypatch, capsys):
+def test_bench_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(regulus.cli, "run_batch", _no_solve)
-    monkeypatch.setenv("REGULUS_JOBS", "abc")
-    records_path = tmp_path / "records.csv"
+    records_path = tmp_path / "missing-dir" / "records.csv"
     assert main(["bench", "--problems", "rosenbrock:2", "--out", str(records_path)]) == 2
-    assert "REGULUS_JOBS" in capsys.readouterr().err
-    assert not records_path.exists()
+    assert "error" in capsys.readouterr().err
+
+
+RECORD_HEADER = "problem,solver,status,n_f,n_g,iterations,wall_time,final_residual\n"
+RECORD_ROW = "beale:2,rlbfgs,Converged,16,14,13,0.01,2.1e-06\n"
+
+
+@pytest.mark.parametrize("rows, extra", [
+    (RECORD_ROW, ["--tau", "0.5"]),
+    (RECORD_ROW, ["--tau", "nan,2"]),
+    (RECORD_ROW * 2, []),  # a repeated (problem, solver) record
+], ids=["tau-below-one", "tau-nan", "duplicate-record"])
+def test_profile_bad_input_is_usage_error(tmp_path, capsys, rows, extra):
+    records_path = tmp_path / "records.csv"
+    records_path.write_text(RECORD_HEADER + rows)
+    profile_path = tmp_path / "profile.csv"
+    code = main(["profile", "--in", str(records_path), "--out", str(profile_path), *extra])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+    assert not profile_path.exists()
 
 
 def test_profile_empty_intersection_exit_code(tmp_path, capsys):

@@ -4,12 +4,15 @@ Each row pins a run's status, evaluation counts, iteration counts and the
 final scaled residual to the last bit (as ``float.hex``). Rewrites of the hot
 path must perform the same floating-point operations in the same order, so
 none of these values may move; a change that moves one is a behaviour
-change, not a speedup.
+change, not a speedup. ``GOLDEN_TRACES`` pins, for a few runs, a digest of
+every per-iteration trace record as well.
 
 The values were recorded with Python 3.11, numpy 2.4 and OpenBLAS on one
 thread. The problems' products are plain 1-D reductions, except for
 ``hilbert:10``, whose matrix-vector product goes through BLAS.
 """
+
+import hashlib
 
 import pytest
 
@@ -79,3 +82,57 @@ def test_golden_trajectory(row):
 @pytest.mark.parametrize("row", GOLDEN_BUDGET, ids=lambda row: f"{row[0]}-{row[1]}")
 def test_golden_trajectory_budget(row):
     assert _outcome(row[0], row[1], BUDGET) == row
+
+
+# Configs of the traced runs: M = 0 is the monotone ratio test, the budget
+# cuts the run short, and max_ls_iters = 2 makes the extension search fail.
+TRACE_CONFIGS = {
+    "default": SolverConfig(),
+    "M=0": SolverConfig(M=0),
+    "max_fevals=300": BUDGET,
+    "max_ls_iters=2": SolverConfig(max_ls_iters=2),
+}
+
+# (problem, solver, config, number of trace records, trace digest)
+GOLDEN_TRACES = [
+    ("beale:2", "lbfgs", "default", 13, "677348056880b793"),
+    ("beale:2", "rlbfgs", "default", 13, "8c5ce8581e0c070e"),
+    ("beale:2", "rlbfgs-sw", "default", 13, "8c5ce8581e0c070e"),
+    ("rosenbrock:2", "lbfgs", "default", 34, "679756b9df40aa17"),
+    ("rosenbrock:2", "rlbfgs", "default", 63, "0f76f5050a0700c8"),
+    ("rosenbrock:2", "rlbfgs-sw", "default", 46, "4f49dd87da9548c5"),
+    ("penalty1:100", "rlbfgs-sw", "default", 139, "df2b514141e80359"),
+    ("rosenbrock:2", "lbfgs", "M=0", 34, "679756b9df40aa17"),
+    ("rosenbrock:2", "rlbfgs", "M=0", 47, "56d19ab9cd517164"),
+    ("rosenbrock:2", "rlbfgs-sw", "M=0", 47, "56d19ab9cd517164"),
+    ("quadratic-ill:100", "lbfgs", "max_fevals=300", 250, "60f3bfd7cf57b9c4"),
+    ("quadratic-ill:100", "rlbfgs", "max_fevals=300", 254, "72de40d64efaa170"),
+    ("quadratic-ill:100", "rlbfgs-sw", "max_fevals=300", 278, "f339ff237d5c9526"),
+    ("penalty1:100", "rlbfgs-sw", "max_ls_iters=2", 149, "d0bde60d61e12150"),
+]
+
+
+def _trace(problem, solver, config):
+    p = get_problem(problem)
+    trace = []
+    SOLVERS[solver](p.objective, p.x0, config, trace=trace)
+    return trace
+
+
+@pytest.mark.parametrize("row", GOLDEN_TRACES, ids=lambda row: f"{row[0]}-{row[1]}-{row[2]}")
+def test_golden_trace(row):
+    # SHA-256 prefix over each record's JSON line plus the in-memory fields
+    # it omits, with floats as ``float.hex``.
+    problem, solver, config, n_records, digest = row
+    trace = _trace(problem, solver, TRACE_CONFIGS[config])
+    h = hashlib.sha256()
+    for r in trace:
+        h.update(f"{r.to_json()} {r.f.hex()} {r.f_unit.hex()} {r.ls_failed}\n".encode())
+    assert (len(trace), h.hexdigest()[:16]) == (n_records, digest)
+
+
+def test_golden_traces_cover_the_extension():
+    fired = _trace("rosenbrock:2", "rlbfgs-sw", TRACE_CONFIGS["default"])
+    assert any(r.alpha is not None for r in fired)
+    failed = _trace("penalty1:100", "rlbfgs-sw", TRACE_CONFIGS["max_ls_iters=2"])
+    assert any(r.ls_failed for r in failed)

@@ -54,16 +54,6 @@ def test_batch_serial_determinism():
         assert a.final_residual == b.final_residual
 
 
-def test_batch_parallel_matches_serial():
-    serial = run_batch(SMALL, ["rlbfgs", "lbfgs"], jobs=1)
-    parallel = run_batch(SMALL, ["rlbfgs", "lbfgs"], jobs=4)
-    for a, b in zip(serial, parallel):
-        assert (a.problem, a.solver, a.status, a.n_f, a.n_g, a.iterations) == (
-            b.problem, b.solver, b.status, b.n_f, b.n_g, b.iterations
-        )
-        assert a.final_residual == b.final_residual
-
-
 def test_batch_validates_selections():
     with pytest.raises(ValueError):
         run_batch([], ["rlbfgs"])
