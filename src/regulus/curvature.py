@@ -39,27 +39,23 @@ TwoLoopEntry = Tuple[Vector, Vector, float]
 class PairHistory:
     """FIFO window of the most recent curvature pairs, newest last.
 
-    Alongside each pair it caches the last ``mu`` and :class:`TwoLoopEntry`
-    built from :func:`shifted_curvature` for it. The cache is keyed on the
-    exact value of ``mu``, holds only entries whose weight is finite, and
-    leaves with its pair on eviction, so :meth:`entries` returns bitwise the
-    same result as a fresh computation. Callers must not write into the
-    returned vectors.
+    Each slot is a list ``[pair, mu, entry]``: the pair with the last ``mu``
+    it was shifted for and the :class:`TwoLoopEntry` built from
+    :func:`shifted_curvature` at that ``mu`` (``None`` for both until the
+    first shift). The cache is keyed on the exact value of ``mu``, holds
+    only entries whose weight is finite, and leaves with its pair on
+    eviction, so :meth:`entries` returns bitwise the same result as a fresh
+    computation. Callers must not write into the returned vectors.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("history capacity must be positive")
-        self._pairs: deque[CurvaturePair] = deque(maxlen=capacity)
-        self._shifts: deque[Optional[Tuple[float, TwoLoopEntry]]] = deque(maxlen=capacity)
-
-    @property
-    def capacity(self) -> int:
-        return self._pairs.maxlen
+        self._slots: deque[list] = deque(maxlen=capacity)
 
     @property
     def newest(self) -> Optional[CurvaturePair]:
-        return self._pairs[-1] if self._pairs else None
+        return self._slots[-1][0] if self._slots else None
 
     def push(self, s: Vector, y: Vector) -> bool:
         """Append a pair, evicting the oldest when at capacity.
@@ -76,8 +72,7 @@ class PairHistory:
             np.all(np.isfinite(pair.s)) and np.all(np.isfinite(pair.y))
         ):
             return False
-        self._pairs.append(pair)
-        self._shifts.append(None)
+        self._slots.append([pair, None, None])
         return True
 
     def entries(self, mu: float) -> List[TwoLoopEntry]:
@@ -87,25 +82,23 @@ class PairHistory:
         are recomputed. Raises :class:`NumericalBreakdownError` when a weight
         is not finite (``s_ty`` zero, subnormal or NaN)."""
         out = []
-        shifts = self._shifts
-        for i in range(len(shifts)):
-            cached = shifts[i]
-            if cached is None or cached[0] != mu:
-                pair = self._pairs[i]
+        for slot in self._slots:
+            if slot[1] != mu:
+                pair = slot[0]
                 y_shifted, s_ty = shifted_curvature(pair, mu)
                 tau = 1.0 / s_ty if s_ty != 0.0 else math.inf
                 if not math.isfinite(tau):
                     raise NumericalBreakdownError(f"non-finite curvature weight 1/{s_ty!r}")
-                cached = shifts[i] = (mu, (pair.s, y_shifted, tau))
-            out.append(cached[1])
+                slot[1], slot[2] = mu, (pair.s, y_shifted, tau)
+            out.append(slot[2])
         return out
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._slots)
 
     def __iter__(self) -> Iterator[CurvaturePair]:
         """Iterate oldest to newest."""
-        return iter(self._pairs)
+        return (slot[0] for slot in self._slots)
 
 
 def shifted_curvature(pair: CurvaturePair, mu: float) -> Tuple[Vector, float]:

@@ -77,9 +77,12 @@ def run_batch(
 ) -> List[RunRecord]:
     """Run every (problem, solver) cell with fresh state, one after another.
 
-    Individual failures become that record's status; the batch itself never
-    aborts. Records come back in canonical (problem, solver) order and their
-    contents are deterministic for a fixed config, apart from wall times.
+    A solver failure (a :class:`~regulus.core.SolverError`, which includes
+    a NaN or inf value or gradient) becomes that record's status and the
+    batch goes on. Any other exception, such as one the objective raises
+    itself, is a bug and propagates. Records come back in canonical
+    (problem, solver) order and their contents are deterministic for a fixed
+    config, apart from wall times.
     """
     if not problems or not solvers:
         raise ValueError("problem and solver selections must be nonempty")
@@ -88,23 +91,11 @@ def run_batch(
         raise KeyError(f"unknown solvers: {unknown}")
     config = config or SolverConfig()
 
-    def run_cell(problem, solver) -> RunRecord:
-        try:
-            report = SOLVERS[solver](problem.objective, problem.x0, config)
-            return RunRecord.from_report(problem.name, report)
-        except Exception:
-            return RunRecord(
-                problem=problem.name,
-                solver=solver,
-                status=Status.NUMERICAL_BREAKDOWN,
-                n_f=0,
-                n_g=0,
-                iterations=0,
-                wall_time=0.0,
-                final_residual=float("inf"),
-            )
-
-    records = [run_cell(p, s) for p in problems for s in solvers]
+    records = [
+        RunRecord.from_report(p.name, SOLVERS[s](p.objective, p.x0, config))
+        for p in problems
+        for s in solvers
+    ]
     records.sort(key=lambda r: (r.problem, r.solver))
     return records
 

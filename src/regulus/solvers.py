@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import deque
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,12 +38,13 @@ from .core import (
 from .curvature import PairHistory
 from .direction import gamma_scale, two_loop_direction
 from .linesearch import LineProbe, strong_wolfe_search
-from .step_control import FWindow, acceptance_ratio, model_reduction, nonmonotone_reference
+from .step_control import acceptance_ratio, model_reduction, nonmonotone_reference
 
 
 class IterateState:
-    """Mutable per-run state owned by a single solver loop. ``inner``
-    counts the rejected trial steps of the run so far."""
+    """Mutable per-run state owned by a single solver loop. ``fwindow``
+    holds the last ``M + 1`` accepted objective values, newest last;
+    ``inner`` counts the rejected trial steps of the run so far."""
 
     __slots__ = ("x", "f", "g", "mu", "history", "gamma", "fwindow", "k", "inner")
 
@@ -54,7 +56,7 @@ class IterateState:
         mu: float,
         history: PairHistory,
         gamma: float,
-        fwindow: FWindow,
+        fwindow: deque,
         k: int = 0,
     ):
         self.x = x
@@ -100,32 +102,24 @@ class TraceRecord(NamedTuple):
         return json.dumps(record)
 
 
-class AcceptedStep(NamedTuple):
-    d: Vector
-    x: Vector
-    mu_used: float
-    f_trial: float
-    inner_iters: int
-    ratio: float
-    model_red: float
-
-
 def accept_step_rlbfgs(
     state: IterateState,
     config: SolverConfig,
     objective: Objective,
     counters: EvalCounter,
-) -> AcceptedStep:
+) -> Tuple[Vector, Vector, float, float, float]:
     """Inner loop of the regularized solvers.
 
     Starting from the current regularization parameter, repeatedly computes
     the direction, evaluates the trial point, and either accepts (ratio at
     least ``eta1`` against the nonmonotone reference) or escalates the
-    parameter by ``gamma2`` and retries. The accepted step carries the trial
-    point ``x + d`` it was evaluated at. Non-finite trial values count as
-    rejections. Raises :class:`RegularizationOverflowError` past ``mu_max``
-    and :class:`EvalBudgetExceededError` when a rejected trial exhausts the
-    evaluation budget.
+    parameter by ``gamma2`` and retries. Returns ``(x, d, mu, f, ratio)``:
+    the trial point ``x + d`` it accepted, the step, the parameter it was
+    taken at, its value, and its ratio; the rejections are added to
+    ``state.inner``. Non-finite trial values count as rejections. Raises
+    :class:`RegularizationOverflowError` past ``mu_max`` and
+    :class:`EvalBudgetExceededError` when a rejected trial exhausts the
+    evaluation budget, adding nothing to ``state.inner``.
     """
     f_ref = nonmonotone_reference(state.fwindow, state.k, config.M)
     mu_bar = state.mu
@@ -141,7 +135,8 @@ def accept_step_rlbfgs(
         if math.isfinite(f_trial):
             ratio = acceptance_ratio(f_ref, f_trial, reduction)
             if ratio >= config.eta1:
-                return AcceptedStep(d, x_trial, mu_bar, f_trial, inner, ratio, reduction)
+                state.inner += inner
+                return x_trial, d, mu_bar, f_trial, ratio
         if counters.n_f > config.max_fevals:
             raise EvalBudgetExceededError(
                 f"evaluation budget exhausted after {counters.n_f} evaluations"
@@ -164,16 +159,6 @@ def update_mu(mu_used: float, ratio: float, config: SolverConfig) -> float:
     if ratio >= config.eta2:
         return max(config.mu_min, config.gamma1 * mu_used)
     return mu_used
-
-
-class ExtensionResult(NamedTuple):
-    x: Vector
-    f: float
-    g: Vector
-    s: Vector
-    alpha: Optional[float]
-    fired: bool
-    ls_failed: bool
 
 
 def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0):
@@ -214,7 +199,7 @@ def wolfe_extension_step(
     g_unit: Vector,
     g_prev: Vector,
     mu_used: float,
-) -> ExtensionResult:
+) -> Tuple[Vector, float, Vector, Vector, Optional[float], bool]:
     """Opportunistic step extension after an accepted regularized step.
 
     Fires only when the unit step left a steep slope (the curvature
@@ -223,23 +208,26 @@ def wolfe_extension_step(
     Wolfe search then continues from the trial point along the same
     direction and the iterate moves by ``(1 + alpha) * d``. A failed search
     falls back to the already-accepted unit step and the run continues.
+
+    Returns ``(x, f, g, s, alpha, ls_failed)``: the new iterate, its value
+    and gradient, the step ``s`` to it from the previous iterate, the
+    extension's step length (None when it did not fire or failed), and
+    whether its search failed.
     """
     # The floor test costs one comparison, so it goes first and the two dot
     # products are taken only when it holds.
-    fire = False
-    if mu_used == config.mu_min:
-        d_dot_unit = float(d.dot(g_unit))
-        fire = d_dot_unit < config.c2 * float(d.dot(g_prev))
-    if not fire:
-        return ExtensionResult(x_unit, f_unit, g_unit, d, None, False, False)
-
+    if mu_used != config.mu_min:
+        return x_unit, f_unit, g_unit, d, None, False
+    d_dot_unit = float(d.dot(g_unit))
+    if not d_dot_unit < config.c2 * float(d.dot(g_prev)):
+        return x_unit, f_unit, g_unit, d, None, False
     try:
         alpha, x_new, f_new, g_new = _wolfe_ray(
             objective, counters, config, x_unit, d, f_unit, d_dot_unit
         )
     except LineSearchError:
-        return ExtensionResult(x_unit, f_unit, g_unit, d, None, True, True)
-    return ExtensionResult(x_new, f_new, g_new, (1.0 + alpha) * d, alpha, True, False)
+        return x_unit, f_unit, g_unit, d, None, True
+    return x_new, f_new, g_new, (1.0 + alpha) * d, alpha, False
 
 
 def _initial_state(objective, x0, config, counters) -> IterateState:
@@ -250,8 +238,6 @@ def _initial_state(objective, x0, config, counters) -> IterateState:
         raise ValueError("x0 must be finite")
     f = evaluate(objective, x, counters, "value")
     g = evaluate(objective, x, counters, "gradient")
-    fwindow = FWindow(config.M)
-    fwindow.push(f)
     return IterateState(
         x=x,
         f=f,
@@ -259,7 +245,7 @@ def _initial_state(objective, x0, config, counters) -> IterateState:
         mu=config.mu0,
         history=PairHistory(config.m),
         gamma=1.0,
-        fwindow=fwindow,
+        fwindow=deque((f,), maxlen=config.M + 1),
     )
 
 
@@ -301,19 +287,15 @@ def _line_search_step(state, objective, config, counters):
 def _regularized_step(state, objective, config, counters, extend=False):
     """rlbfgs: the regularized unit step that passes the ratio test; with
     ``extend`` (rlbfgs-sw), extended by a Wolfe search at the mu floor."""
-    step = accept_step_rlbfgs(state, config, objective, counters)
-    state.inner += step.inner_iters
-    mu_next = update_mu(step.mu_used, step.ratio, config)
+    x, d, mu, f, ratio = accept_step_rlbfgs(state, config, objective, counters)
+    mu_next = update_mu(mu, ratio, config)
     # One gradient evaluation per accepted step; it serves the extension
     # trigger, the new curvature pair, and the next iteration alike.
-    g_unit = evaluate(objective, step.x, counters, "gradient")
-    x, f, g, s, alpha, ls_failed = step.x, step.f_trial, g_unit, step.d, None, False
+    g = evaluate(objective, x, counters, "gradient")
     if extend:
-        x, f, g, s, alpha, _, ls_failed = wolfe_extension_step(
-            objective, counters, config, step.x, step.d,
-            step.f_trial, g_unit, state.g, step.mu_used,
-        )
-    return x, f, g, s, alpha, ls_failed, step.mu_used, mu_next, step.ratio, step.f_trial
+        return (*wolfe_extension_step(objective, counters, config, x, d, f, g, state.g, mu),
+                mu, mu_next, ratio, f)
+    return x, f, g, d, None, False, mu, mu_next, ratio, f
 
 
 def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
@@ -342,7 +324,7 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
              mu, mu_next, ratio, f_unit) = take_step(state, objective, config, counters)
             state.history.push(s, g - state.g)
             state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
-            state.fwindow.push(f)
+            state.fwindow.append(f)
             if trace is not None:
                 trace.append(TraceRecord(
                     k=state.k,
@@ -391,16 +373,11 @@ def solve_rlbfgs_sw(
     x0: Vector,
     config: Optional[SolverConfig] = None,
     trace: Optional[List[TraceRecord]] = None,
-    use_wolfe_trigger: bool = True,
 ) -> RunReport:
     """Regularized L-BFGS that extends accepted steps by a strong Wolfe
-    search when the unit step is detectably short.
-
-    ``use_wolfe_trigger=False`` disables the extension entirely, reproducing
-    `solve_rlbfgs` exactly; it exists for A/B comparisons.
-    """
+    search when the unit step is detectably short."""
     return _run(objective, x0, config, trace, "rlbfgs-sw",
-                partial(_regularized_step, extend=use_wolfe_trigger))
+                partial(_regularized_step, extend=True))
 
 
 SOLVERS: Dict[str, Callable[..., RunReport]] = {

@@ -3,35 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
-from typing import Iterator
 
 from .core import NonpositiveModelReductionError, Vector
-
-
-class FWindow:
-    """FIFO window of the last ``M + 1`` accepted objective values.
-
-    Only accepted iterates enter the window; rejected trial points never do.
-    Newest value last.
-    """
-
-    def __init__(self, window: int):
-        if window < 0:
-            raise ValueError("window size must be nonnegative")
-        self._values: deque[float] = deque(maxlen=window + 1)
-
-    def push(self, f: float) -> None:
-        self._values.append(float(f))
-
-    def latest(self) -> float:
-        return self._values[-1]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._values)
 
 
 def model_reduction(gradient: Vector, d: Vector) -> float:
@@ -58,17 +31,20 @@ def acceptance_ratio(f_ref: float, f_trial: float, model_red: float) -> float:
     return (f_ref - f_trial) / model_red
 
 
-def nonmonotone_reference(window: FWindow, k: int, M: int) -> float:
+def nonmonotone_reference(window: deque, k: int, M: int) -> float:
     """Reference objective value for the acceptance ratio at iteration ``k``.
 
-    For ``k < M`` (and always for ``M = 0``) the reference is the current
+    ``window`` holds the accepted objective values, newest last; only
+    accepted iterates enter it, rejected trial points never do. For
+    ``k < M`` (and always for ``M = 0``) the reference is the current
     objective value, giving the plain monotone ratio. From iteration ``M``
     on it is the maximum of the last ``min(k, M) + 1`` accepted values,
-    which permits occasional objective increases.
+    which permits occasional objective increases (Grippo, Lampariello &
+    Lucidi 1986). It is that maximum only if the window holds exactly those
+    values, as the driver's ``deque(maxlen=M + 1)`` does at iteration ``k``.
     """
     if len(window) == 0:
         raise ValueError("window is empty")
     if M == 0 or k < M:
-        return window.latest()
-    take = min(k, M) + 1
-    return max(islice(window, max(0, len(window) - take), None))
+        return window[-1]
+    return max(window)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regulus.core import SolverConfig, Status
+from regulus.core import Objective, SolverConfig, Status
 from regulus.harness import (
     DEFAULT_TAU_GRID,
     EmptyIntersectionError,
@@ -59,6 +59,23 @@ def test_batch_validates_selections():
         run_batch([], ["rlbfgs"])
     with pytest.raises(KeyError):
         run_batch(SMALL, ["nope"])
+
+
+def test_batch_propagates_objective_exceptions():
+    # An exception the objective raises itself is a bug, not a solver
+    # outcome: it must not be recorded as a status with n_f = 0.
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        raise TypeError("broken objective")
+
+    broken = SMALL[0]._replace(
+        name="broken:2", objective=Objective(2, value, lambda x: np.zeros(2))
+    )
+    with pytest.raises(TypeError, match="broken objective"):
+        run_batch([broken], ["rlbfgs"])
+    assert len(calls) == 1
 
 
 def test_profile_two_solver_example():

@@ -1,0 +1,118 @@
+"""Property tests over whole runs: fault injection into the objective, and
+global convergence of the regularized solvers on strongly convex quadratics.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regulus.core import Objective, SolverConfig, Status
+from regulus.problems import get_problem
+from regulus.solvers import SOLVERS, solve_rlbfgs, solve_rlbfgs_sw
+
+from conftest import CountingObjective
+
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+FAULT_PROBLEMS = ("rosenbrock:2", "beale:2", "hilbert:10", "trigonometric:100",
+                  "engval1:100", "two-well:100")
+CONFIGS = {"default": SolverConfig(), "max_ls_iters=2": SolverConfig(max_ls_iters=2)}
+
+
+def faulty(objective, target, j, bad, persistent):
+    """``objective`` with its ``j``-th ``target`` call ("value" or
+    "gradient") returning ``bad``, or, when ``persistent``, every call from
+    the ``j``-th on. A bad gradient carries ``bad`` in its first entry."""
+    calls = [0]
+
+    def fault_due():
+        calls[0] += 1
+        return calls[0] == j or (persistent and calls[0] > j)
+
+    def value(x):
+        if target == "value" and fault_due():
+            return bad
+        return objective.value(x)
+
+    def gradient(x):
+        g = objective.gradient(x)
+        if target == "gradient" and fault_due():
+            g = np.array(g, dtype=float)
+            g[0] = bad
+        return g
+
+    return Objective(objective.dim, value, gradient)
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(FAULT_PROBLEMS),
+    target=st.sampled_from(["value", "gradient"]),
+    j=st.integers(1, 120),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    persistent=st.booleans(),
+)
+def test_injected_faults_end_in_a_report(solver, config_name, name, target, j, bad,
+                                         persistent):
+    # A NaN or inf from the objective, at any evaluation, ends the run as a
+    # report whose counters equal the raw call counts; it never escapes as
+    # an exception.
+    problem = get_problem(name)
+    counting = CountingObjective(faulty(problem.objective, target, j, bad, persistent))
+    config = CONFIGS[config_name]
+    trace = []
+    report = SOLVERS[solver](counting.objective, problem.x0, config, trace=trace)
+    assert isinstance(report.status, Status)
+    assert report.counters.n_f == counting.value_calls
+    assert report.counters.n_g == counting.grad_calls
+    assert report.iterations == len(trace)
+    if report.status is Status.CONVERGED:
+        assert report.final_residual < config.grad_tol
+        if solver == "rlbfgs":
+            # one value per iteration plus one per rejected trial
+            assert report.counters.n_f == 1 + report.iterations + report.inner_iterations
+    if solver == "lbfgs":
+        assert report.inner_iterations == 0
+
+
+def rotated_quadratic(seed, n, log_kappa):
+    """``0.5 (x - x*)' A (x - x*)`` with ``A = Q diag(lam) Q'``, eigenvalues
+    log-spaced at random in ``[1, 10**log_kappa]`` with both ends taken, and
+    a random rotation ``Q``; returns the objective and a start point."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, n)
+    u[0], u[-1] = 0.0, 1.0
+    lam = 10.0 ** (log_kappa * u)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * lam) @ q.T
+    x_star = rng.standard_normal(n)
+
+    def value(x):
+        r = x - x_star
+        return 0.5 * float(r.dot(a.dot(r)))
+
+    def gradient(x):
+        return a.dot(x - x_star)
+
+    return Objective(n, value, gradient), x_star + 10.0 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("solve", [solve_rlbfgs, solve_rlbfgs_sw])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 50), log_kappa=st.floats(0.0, 4.0))
+def test_regularized_solvers_converge_on_convex_quadratics(solve, seed, n, log_kappa):
+    # The paper's global convergence on strongly convex functions: every
+    # accepted step passed the ratio test and mu stayed within its bounds.
+    objective, x0 = rotated_quadratic(seed, n, log_kappa)
+    config = SolverConfig()
+    trace = []
+    report = solve(objective, x0, config, trace=trace)
+    assert report.status is Status.CONVERGED, report.status
+    for record in trace:
+        assert record.ratio >= config.eta1
+        assert config.mu_min <= record.mu <= config.mu_max

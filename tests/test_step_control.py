@@ -1,10 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from regulus.core import NonpositiveModelReductionError
 from regulus.direction import gamma_scale, dense_bfgs_oracle, two_loop_direction
 from regulus.step_control import (
-    FWindow,
     acceptance_ratio,
     model_reduction,
     nonmonotone_reference,
@@ -55,46 +56,38 @@ def test_acceptance_ratio_requires_positive_reduction():
         acceptance_ratio(1.0, 0.5, 0.0)
 
 
-def test_window_capacity():
-    window = FWindow(2)
-    for value in (3.0, 1.0, 2.0, 5.0):
-        window.push(value)
-    assert list(window) == [1.0, 2.0, 5.0]
-    assert window.latest() == 5.0
-
-
 def test_reference_monotone_case():
-    window = FWindow(0)
-    for value in (3.0, 1.0, 2.0):
-        window.push(value)
+    window = deque((3.0, 1.0, 2.0), maxlen=1)
     assert nonmonotone_reference(window, 2, 0) == 2.0
 
 
 def test_reference_window_max():
-    window = FWindow(10)
-    for value in (3.0, 1.0, 2.0):
-        window.push(value)
+    window = deque((3.0, 1.0, 2.0), maxlen=11)
     assert nonmonotone_reference(window, 12, 10) == 3.0
 
 
 def test_reference_original_ratio_before_window_fills():
-    window = FWindow(10)
-    for value in (9.0, 4.0, 7.0, 1.0, 2.0, 0.5):
-        window.push(value)
+    window = deque((9.0, 4.0, 7.0, 1.0, 2.0, 0.5), maxlen=11)
     # k < M keeps the plain monotone reference
     assert nonmonotone_reference(window, 5, 10) == 0.5
 
 
 def test_reference_never_below_current(rng):
-    window = FWindow(6)
-    for k in range(40):
-        window.push(float(rng.standard_normal()))
-        ref = nonmonotone_reference(window, k, 6)
-        assert ref >= window.latest()
-        mono = nonmonotone_reference(window, k, 0)
-        assert mono == window.latest()
+    values = rng.standard_normal(40).tolist()
+    for M in (0, 1, 6):
+        window = deque(maxlen=M + 1)
+        for k, value in enumerate(values):
+            window.append(value)
+            ref = nonmonotone_reference(window, k, M)
+            assert ref >= window[-1]
+            assert nonmonotone_reference(window, k, 0) == window[-1]
+            # Grippo, Lampariello & Lucidi: the max of the last min(k, M) + 1
+            # values of the full history, once the window has filled
+            history = values[:k + 1]
+            expected = history[-1] if M == 0 or k < M else max(history[-(min(k, M) + 1):])
+            assert ref.hex() == expected.hex()
 
 
 def test_reference_requires_values():
     with pytest.raises(ValueError):
-        nonmonotone_reference(FWindow(3), 0, 3)
+        nonmonotone_reference(deque(maxlen=4), 0, 3)
