@@ -7,10 +7,11 @@ configuration (with its file format), run reports, and the termination rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Literal, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Literal, Mapping, NamedTuple, Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -60,12 +61,6 @@ class LineSearchError(SolverError):
     status = Status.LINE_SEARCH_FAILURE
 
 
-class NonpositiveModelReductionError(SolverError):
-    """The quadratic model predicted no reduction for a nonzero gradient."""
-
-    status = Status.NUMERICAL_BREAKDOWN
-
-
 class EvalCounter:
     """Running totals of objective and gradient evaluations for one run.
 
@@ -92,10 +87,6 @@ class Objective(NamedTuple):
     dim: int
     value: Callable[[Vector], float]
     gradient: Callable[[Vector], Vector]
-
-
-# Fields holding integer parameters; everything else is a float.
-_INT_FIELDS = frozenset({"m", "M", "max_fevals", "max_ls_iters"})
 
 
 @dataclass(frozen=True)
@@ -132,10 +123,11 @@ class SolverConfig:
             raise ValueError("requires 0 < gamma1 <= 1 < gamma2")
         if not 0.0 < self.eta1 < self.eta2 <= 1.0:
             raise ValueError("requires 0 < eta1 < eta2 <= 1")
-        if not self.m >= 1:
-            raise ValueError("memory m must be a positive integer")
-        if not self.M >= 0:
-            raise ValueError("nonmonotone window M must be nonnegative")
+        # m and M + 1 are the lengths of deques, which a C ssize_t bounds.
+        if not 1 <= self.m <= sys.maxsize:
+            raise ValueError(f"memory m must be an integer in [1, {sys.maxsize}]")
+        if not 0 <= self.M < sys.maxsize:
+            raise ValueError(f"nonmonotone window M must be an integer in [0, {sys.maxsize - 1}]")
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError("requires 0 < c1 < c2 < 1")
         if not self.grad_tol > 0.0:
@@ -151,19 +143,20 @@ class SolverConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Union[str, int, float]]) -> "SolverConfig":
-        """Build a config from a flat mapping; unknown keys are rejected."""
-        valid = {f.name for f in fields(cls)}
+        """Build a config from a flat mapping; unknown keys are rejected.
+
+        A field annotated ``int`` takes only finite integral values."""
+        types = get_type_hints(cls)
         kwargs = {}
         for key, raw in data.items():
-            if key not in valid:
+            if key not in types:
                 raise ValueError(f"unknown config key: {key!r}")
-            if key in _INT_FIELDS:
-                value = float(raw)
-                if value != int(value):
+            value = float(raw)
+            if types[key] is int:
+                if not value.is_integer():
                     raise ValueError(f"config key {key!r} must be an integer")
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(raw)
+                value = int(value)
+            kwargs[key] = value
         return cls(**kwargs)
 
     @classmethod

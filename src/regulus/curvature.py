@@ -1,19 +1,26 @@
-"""Bounded history of (s, y) curvature pairs with on-demand shifted curvature.
+"""Bounded history of (s, y) curvature pairs and the regularized two-loop
+direction built on it.
 
 The history stores raw displacement/gradient-difference pairs; the
 regularization shift is applied on the fly, so varying the regularization
-parameter never requires re-storing vectors.
+parameter never requires re-storing vectors. The direction never forms a
+matrix: it runs the standard two-loop recursion over the stored window with
+the per-pair shifted curvature and a scaled, regularized initial diagonal.
+A dense brute-force construction of the approximate Hessian is provided as
+a test oracle for small dimensions.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .core import NumericalBreakdownError, Vector
+
+_ORACLE_MAX_DIM = 64
 
 
 class CurvaturePair(NamedTuple):
@@ -32,20 +39,16 @@ class CurvaturePair(NamedTuple):
         return cls(s, y, float(s.dot(y)), float(s.dot(s)), float(y.dot(y)))
 
 
-# One pair as the two-loop recursion consumes it: (s, y_shifted, 1 / s'y_shifted).
-TwoLoopEntry = Tuple[Vector, Vector, float]
-
-
 class PairHistory:
     """FIFO window of the most recent curvature pairs, newest last.
 
-    Each slot is a list ``[pair, mu, entry]``: the pair with the last ``mu``
-    it was shifted for and the :class:`TwoLoopEntry` built from
-    :func:`shifted_curvature` at that ``mu`` (``None`` for both until the
-    first shift). The cache is keyed on the exact value of ``mu``, holds
-    only entries whose weight is finite, and leaves with its pair on
-    eviction, so :meth:`entries` returns bitwise the same result as a fresh
-    computation. Callers must not write into the returned vectors.
+    Each slot is a list ``[pair, mu, y_shifted, tau]``: the pair with the
+    last ``mu`` that :func:`two_loop_direction` shifted it for, and the
+    shifted vector and weight ``1 / s'y_shifted`` from
+    :func:`shifted_curvature` at that ``mu`` (``None`` until the first
+    shift). The cache is keyed on the exact value of ``mu``, holds only
+    finite weights, and leaves with its pair on eviction, so a direction is
+    bitwise the same as one from freshly shifted pairs.
     """
 
     def __init__(self, capacity: int):
@@ -72,26 +75,8 @@ class PairHistory:
             np.all(np.isfinite(pair.s)) and np.all(np.isfinite(pair.y))
         ):
             return False
-        self._slots.append([pair, None, None])
+        self._slots.append([pair, None, None, None])
         return True
-
-    def entries(self, mu: float) -> List[TwoLoopEntry]:
-        """``(s, y_shifted, tau)`` of every pair, oldest first, where
-        ``y_shifted, s_ty = shifted_curvature(pair, mu)`` and
-        ``tau = 1 / s_ty``. Only pairs last shifted with a different ``mu``
-        are recomputed. Raises :class:`NumericalBreakdownError` when a weight
-        is not finite (``s_ty`` zero, subnormal or NaN)."""
-        out = []
-        for slot in self._slots:
-            if slot[1] != mu:
-                pair = slot[0]
-                y_shifted, s_ty = shifted_curvature(pair, mu)
-                tau = 1.0 / s_ty if s_ty != 0.0 else math.inf
-                if not math.isfinite(tau):
-                    raise NumericalBreakdownError(f"non-finite curvature weight 1/{s_ty!r}")
-                slot[1], slot[2] = mu, (pair.s, y_shifted, tau)
-            out.append(slot[2])
-        return out
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -114,3 +99,107 @@ def shifted_curvature(pair: CurvaturePair, mu: float) -> Tuple[Vector, float]:
     y_shifted = pair.y + (correction + mu) * pair.s
     s_ty = max(0.0, pair.sy) + mu * pair.ss
     return y_shifted, s_ty
+
+
+def gamma_scale(last_pair: Optional[CurvaturePair], alpha_floor: float) -> float:
+    """Scale ``gamma`` of the initial matrix from the most recent curvature pair.
+
+    Uses ``s'y / ||y||^2`` when the pair has enough positive curvature and
+    falls back to ``alpha_floor * ||s||^2 / ||y||^2`` otherwise, so the
+    result is positive for any stored pair whose products neither overflow
+    nor underflow. With no pair yet the scale is 1.
+    """
+    if alpha_floor <= 0.0:
+        raise ValueError("alpha_floor must be positive")
+    if last_pair is None:
+        return 1.0
+    if last_pair.yy == 0.0:
+        raise NumericalBreakdownError("curvature pair has zero gradient difference")
+    if last_pair.sy >= alpha_floor * last_pair.ss:
+        return last_pair.sy / last_pair.yy
+    return alpha_floor * last_pair.ss / last_pair.yy
+
+
+def initial_diag(gamma: float, mu: float) -> float:
+    """Diagonal of the regularized initial inverse matrix: gamma/(1+gamma*mu).
+
+    Lies in (0, gamma] and decreases strictly in ``mu``.
+    """
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    if mu < 0.0:
+        raise ValueError("mu must be nonnegative")
+    return gamma / (1.0 + gamma * mu)
+
+
+def two_loop_direction(
+    history: PairHistory,
+    gradient: Vector,
+    mu: float,
+    gamma: float,
+) -> Vector:
+    """Quasi-Newton direction ``-H(mu) @ gradient`` in O(m*n) time.
+
+    ``H(mu)`` is the limited-memory inverse built from the initial diagonal
+    ``gamma / (1 + gamma * mu)`` (see :func:`initial_diag`) and the stored
+    pairs with their shifted curvature, applied oldest to newest. With an
+    empty history this reduces to a scaled steepest-descent step. The result
+    is a descent direction whenever the gradient is nonzero. Raises
+    :class:`NumericalBreakdownError` when a weight is not finite (``s'y``
+    shifted to zero, a subnormal or NaN).
+
+    Only pairs last shifted with a different ``mu`` are shifted again. The
+    recursion runs in place on one copy of the gradient and one scratch
+    buffer, with the same floating-point operations in the same order as
+    the textbook form. The result is always a fresh array, aliased with
+    neither the cache nor the buffer, because callers store it in the
+    history as the next displacement.
+    """
+    slots = history._slots
+    for slot in slots:
+        if slot[1] != mu:
+            y_shifted, s_ty = shifted_curvature(slot[0], mu)
+            tau = 1.0 / s_ty if s_ty != 0.0 else math.inf
+            if not math.isfinite(tau):
+                raise NumericalBreakdownError(f"non-finite curvature weight 1/{s_ty!r}")
+            slot[1:] = mu, y_shifted, tau
+    q = np.array(gradient, dtype=float)
+    buf = np.empty_like(q)
+    alphas = []
+    for pair, _, y_shifted, tau in reversed(slots):
+        a = tau * float(pair.s.dot(q))
+        q -= np.multiply(y_shifted, a, out=buf)
+        alphas.append(a)
+    r = np.multiply(q, gamma / (1.0 + gamma * mu), out=q)
+    for (pair, _, y_shifted, tau), a in zip(slots, reversed(alphas)):
+        beta = tau * float(y_shifted.dot(r))
+        r += np.multiply(pair.s, a - beta, out=buf)
+    return np.negative(r, out=r)
+
+
+def dense_bfgs_oracle(
+    history: PairHistory,
+    mu: float,
+    gamma: float,
+    n: int,
+) -> Vector:
+    """Explicit n-by-n regularized approximate Hessian, for testing only.
+
+    Applies the direct rank-two update with the shifted pairs oldest to
+    newest, starting from the inverse of the initial diagonal. The product
+    of this matrix with `two_loop_direction`'s output recovers the negated
+    gradient.
+    """
+    if n > _ORACLE_MAX_DIM:
+        raise ValueError(f"dense oracle limited to n <= {_ORACLE_MAX_DIM}")
+    b = np.eye(n) / initial_diag(gamma, mu)
+    for pair in history:
+        y_shifted, s_ty = shifted_curvature(pair, mu)
+        if s_ty <= 0.0:
+            raise NumericalBreakdownError("nonpositive shifted curvature in update")
+        bs = b @ pair.s
+        sbs = float(pair.s.dot(bs))
+        if sbs <= 0.0:
+            raise NumericalBreakdownError("nonpositive quadratic form in update")
+        b = b - np.outer(bs, bs) / sbs + np.outer(y_shifted, y_shifted) / s_ty
+    return b

@@ -9,26 +9,17 @@ from __future__ import annotations
 
 import contextlib
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union, get_type_hints,
+)
 
 from .core import RunReport, SolverConfig, Status
 from .problems import ProblemDef
 from .solvers import SOLVERS
 
 DEFAULT_TAU_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0)
-
-CSV_FIELDS = (
-    "problem",
-    "solver",
-    "status",
-    "n_f",
-    "n_g",
-    "iterations",
-    "wall_time",
-    "final_residual",
-)
 
 
 class EmptyIntersectionError(Exception):
@@ -60,6 +51,12 @@ class RunRecord:
             wall_time=report.wall_time,
             final_residual=report.final_residual,
         )
+
+
+# The CSV columns are RunRecord's fields, in order; each annotation parses
+# its column back.
+_COLUMN_TYPES = get_type_hints(RunRecord)
+CSV_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 @dataclass(frozen=True)
@@ -171,17 +168,10 @@ def write_records(records: Iterable[RunRecord], path: Union[str, Path, TextIO]) 
     with _output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_FIELDS)
+        # csv writes a float as its repr, so every value reads back exactly.
         for r in records:
-            writer.writerow([
-                r.problem,
-                r.solver,
-                r.status.value,
-                r.n_f,
-                r.n_g,
-                r.iterations,
-                repr(r.wall_time),
-                repr(r.final_residual),
-            ])
+            cells = (getattr(r, name) for name in CSV_FIELDS)
+            writer.writerow([c.value if isinstance(c, Status) else c for c in cells])
 
 
 def read_records(path: Union[str, Path]) -> List[RunRecord]:
@@ -193,14 +183,7 @@ def read_records(path: Union[str, Path]) -> List[RunRecord]:
             raise ValueError(f"records file is missing columns: {sorted(missing)}")
         for row in reader:
             records.append(RunRecord(
-                problem=row["problem"],
-                solver=row["solver"],
-                status=Status(row["status"]),
-                n_f=int(row["n_f"]),
-                n_g=int(row["n_g"]),
-                iterations=int(row["iterations"]),
-                wall_time=float(row["wall_time"]),
-                final_residual=float(row["final_residual"]),
+                **{name: _COLUMN_TYPES[name](row[name]) for name in CSV_FIELDS}
             ))
     return records
 

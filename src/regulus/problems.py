@@ -27,7 +27,7 @@ class ProblemDef(NamedTuple):
 
 def _rosenbrock(n: int):
     """Extended Rosenbrock, separable pairs; start alternates (-1.2, 1)."""
-    if n < 2 or n % 2:
+    if n % 2:
         raise ValueError("rosenbrock requires even n >= 2")
 
     def value(x):
@@ -47,7 +47,7 @@ def _rosenbrock(n: int):
 
 def _powell_singular(n: int):
     """Extended Powell singular; start repeats (3, -1, 0, 1)."""
-    if n < 4 or n % 4:
+    if n % 4:
         raise ValueError("powell-singular requires n divisible by 4")
 
     def value(x):
@@ -243,10 +243,6 @@ _FAMILIES: Dict[str, Tuple[_Builder, int, Tuple[int, ...]]] = {
 }
 
 
-def family_names() -> List[str]:
-    return list(_FAMILIES)
-
-
 def make_problem(family: str, n: Optional[int] = None) -> ProblemDef:
     """Instantiate a problem family at dimension ``n`` (family default if None)."""
     try:
@@ -254,6 +250,8 @@ def make_problem(family: str, n: Optional[int] = None) -> ProblemDef:
     except KeyError:
         raise KeyError(f"unknown problem family: {family!r}") from None
     dim = default_n if n is None else n
+    if dim < 1:
+        raise ValueError(f"problem dimension must be positive, got {dim}")
     x0, value, gradient, f_star = builder(dim)
     return ProblemDef(
         name=f"{family}:{dim}",

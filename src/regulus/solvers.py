@@ -35,8 +35,7 @@ from .core import (
     evaluate,
     scaled_gradient_norm,
 )
-from .curvature import PairHistory
-from .direction import gamma_scale, two_loop_direction
+from .curvature import PairHistory, gamma_scale, two_loop_direction
 from .linesearch import LineProbe, strong_wolfe_search
 from .step_control import acceptance_ratio, model_reduction, nonmonotone_reference
 
@@ -230,37 +229,7 @@ def wolfe_extension_step(
     return x_new, f_new, g_new, (1.0 + alpha) * d, alpha, False
 
 
-def _initial_state(objective, x0, config, counters) -> IterateState:
-    x = np.array(x0, dtype=float)
-    if x.ndim != 1 or x.size != objective.dim:
-        raise ValueError(f"x0 must be a vector of length {objective.dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-    f = evaluate(objective, x, counters, "value")
-    g = evaluate(objective, x, counters, "gradient")
-    return IterateState(
-        x=x,
-        f=f,
-        g=g,
-        mu=config.mu0,
-        history=PairHistory(config.m),
-        gamma=1.0,
-        fwindow=deque((f,), maxlen=config.M + 1),
-    )
-
-
 def _report(status, state, counters, t0, solver_name) -> RunReport:
-    if state is None:
-        return RunReport(
-            status=status,
-            iterations=0,
-            inner_iterations=0,
-            counters=counters,
-            final_f=math.nan,
-            final_residual=math.inf,
-            wall_time=time.perf_counter() - t0,
-            solver_name=solver_name,
-        )
     return RunReport(
         status=status,
         iterations=state.k,
@@ -313,9 +282,19 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
     config = config or SolverConfig()
     counters = EvalCounter()
     t0 = time.perf_counter()
-    state = None
+    x = np.array(x0, dtype=float)
+    if x.ndim != 1 or x.size != objective.dim:
+        raise ValueError(f"x0 must be a vector of length {objective.dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    # Until they are evaluated, f(x0) is NaN and the gradient is all NaN, so
+    # a breakdown at x0 reports x0, what was evaluated, and an inf residual.
+    state = IterateState(x, math.nan, np.full_like(x, math.nan), config.mu0,
+                         PairHistory(config.m), 1.0, deque(maxlen=config.M + 1))
     try:
-        state = _initial_state(objective, x0, config, counters)
+        state.f = evaluate(objective, x, counters, "value")
+        state.fwindow.append(state.f)
+        state.g = evaluate(objective, x, counters, "gradient")
         while True:
             decision = check_termination(state.g, state.x, counters, config)
             if decision is not None:

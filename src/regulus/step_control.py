@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import NonpositiveModelReductionError, Vector
+from .core import NumericalBreakdownError, Vector
 
 
 def model_reduction(gradient: Vector, d: Vector) -> float:
@@ -18,7 +18,7 @@ def model_reduction(gradient: Vector, d: Vector) -> float:
     """
     reduction = -0.5 * float(gradient.dot(d))
     if reduction < 0.0 or (reduction == 0.0 and gradient.any()):
-        raise NonpositiveModelReductionError(
+        raise NumericalBreakdownError(
             f"model predicts no reduction ({reduction!r}); not a descent direction"
         )
     return reduction

@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 from regulus.core import SolverConfig, Status
-from regulus.curvature import CurvaturePair, PairHistory, shifted_curvature
-from regulus.direction import dense_bfgs_oracle, gamma_scale, two_loop_direction
+from regulus.curvature import (
+    CurvaturePair,
+    PairHistory,
+    dense_bfgs_oracle,
+    gamma_scale,
+    shifted_curvature,
+    two_loop_direction,
+)
 from regulus.harness import DEFAULT_TAU_GRID, RunRecord, performance_profile, run_batch
 from regulus.linesearch import LineProbe, strong_wolfe_search
 from regulus.problems import get_problem, registry

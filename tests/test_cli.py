@@ -52,6 +52,21 @@ def test_solve_bad_param_is_usage_error(capsys):
     assert main(["solve", "rosenbrock:2", "-p", "bogus=1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["beale", "-p", "m=inf"],
+    ["beale", "-p", "max_fevals=1e400"],
+    ["beale", "-p", "m=1e30"],
+    ["beale", "-p", "M=1e30"],
+    ["trigonometric:0"],
+], ids=["m-inf", "max_fevals-overflow", "m-huge", "M-huge", "dimension-zero"])
+def test_solve_out_of_range_input_is_usage_error(argv, monkeypatch, capsys):
+    # Non-finite or oversized integers and empty problems are usage errors,
+    # not an OverflowError or ZeroDivisionError traceback or an empty solve.
+    monkeypatch.setitem(SOLVERS, "rlbfgs", _no_solve)
+    assert main(["solve", *argv]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_solve_trace_file(tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     code = main(["solve", "beale", "--trace", str(trace_path)])
@@ -167,6 +182,7 @@ def test_closed_stdout_exits_without_traceback(tmp_path, command):
     proc = subprocess.Popen([sys.executable, "-m", "regulus", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()  # the reader goes away before the command writes
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == regulus.cli.BROKEN_PIPE
     assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from regulus.core import NumericalBreakdownError
-from regulus.curvature import CurvaturePair, PairHistory, shifted_curvature
-from regulus.direction import (
+from regulus.curvature import (
+    CurvaturePair,
+    PairHistory,
     dense_bfgs_oracle,
     gamma_scale,
     initial_diag,
+    shifted_curvature,
     two_loop_direction,
 )
 

@@ -12,7 +12,12 @@ import sys
 import regulus
 from regulus import EvalCounter, Objective, ProblemDef
 
-lazy = [m for m in ("regulus.harness", "csv", "concurrent.futures") if m in sys.modules]
+loaded = {m for m in sys.modules if m.split(".")[0] == "regulus"}
+assert loaded == {
+    "regulus", "regulus.core", "regulus.curvature", "regulus.linesearch",
+    "regulus.problems", "regulus.solvers", "regulus.step_control",
+}, sorted(loaded)
+lazy = [m for m in ("csv", "concurrent.futures") if m in sys.modules]
 assert not lazy, lazy
 
 objective = Objective(1, abs, abs)

@@ -145,3 +145,10 @@ def test_objective_bounded_below_by_optimum(problem, rng):
     for _ in range(100):
         x = problem.x0 + rng.standard_normal(problem.dimension)
         assert problem.objective.value(x) >= problem.f_star
+
+
+def test_nonpositive_dimension_is_rejected_for_every_family():
+    for family in {p.name.partition(":")[0] for p in registry()}:
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="dimension must be positive"):
+                make_problem(family, n)

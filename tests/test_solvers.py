@@ -300,13 +300,25 @@ def test_line_search_failure_status():
     assert report.status is Status.LINE_SEARCH_FAILURE
 
 
-def test_numerical_breakdown_at_start():
-    objective = Objective(
-        dim=1, value=lambda x: math.nan, gradient=lambda x: np.ones(1)
-    )
-    report = solve_rlbfgs(objective, np.zeros(1))
+@pytest.mark.parametrize("solve", [solve_lbfgs, solve_rlbfgs, solve_rlbfgs_sw])
+@pytest.mark.parametrize("broken", ["value", "gradient"])
+def test_numerical_breakdown_at_start(solve, broken):
+    # The report keeps x0 and whatever was evaluated there before the
+    # breakdown: f(x0) when only the gradient broke.
+    problem = get_problem("rosenbrock:2")
+    nan = {"value": lambda x: math.nan, "gradient": lambda x: np.full(2, math.nan)}
+    objective = problem.objective._replace(**{broken: nan[broken]})
+    report = solve(objective, problem.x0)
     assert report.status is Status.NUMERICAL_BREAKDOWN
-    assert math.isnan(report.final_f)
+    assert np.array_equal(report.x, problem.x0)
+    assert report.final_residual == math.inf
+    assert (report.iterations, report.inner_iterations) == (0, 0)
+    if broken == "value":
+        assert math.isnan(report.final_f)
+        assert (report.counters.n_f, report.counters.n_g) == (1, 0)
+    else:
+        assert report.final_f == problem.objective.value(problem.x0)
+        assert (report.counters.n_f, report.counters.n_g) == (1, 1)
 
 
 def test_pushed_pairs_keep_positive_shifted_curvature(monkeypatch):

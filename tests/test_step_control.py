@@ -3,8 +3,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from regulus.core import NonpositiveModelReductionError
-from regulus.direction import gamma_scale, dense_bfgs_oracle, two_loop_direction
+from regulus.core import NumericalBreakdownError
+from regulus.curvature import gamma_scale, dense_bfgs_oracle, two_loop_direction
 from regulus.step_control import (
     acceptance_ratio,
     model_reduction,
@@ -24,9 +24,9 @@ def test_model_reduction_degenerate_zero():
 
 
 def test_model_reduction_rejects_ascent():
-    with pytest.raises(NonpositiveModelReductionError):
+    with pytest.raises(NumericalBreakdownError):
         model_reduction(np.array([1.0]), np.array([2.0]))
-    with pytest.raises(NonpositiveModelReductionError):
+    with pytest.raises(NumericalBreakdownError):
         model_reduction(np.array([1.0]), np.array([0.0]))
 
 
