@@ -116,9 +116,10 @@ def accept_step_rlbfgs(
     the trial point ``x + d`` it accepted, the step, the parameter it was
     taken at, its value, and its ratio; the rejections are added to
     ``state.inner``. Non-finite trial values count as rejections. Raises
-    :class:`RegularizationOverflowError` past ``mu_max`` and
-    :class:`EvalBudgetExceededError` when a rejected trial exhausts the
-    evaluation budget, adding nothing to ``state.inner``.
+    :class:`RegularizationOverflowError` past ``mu_max`` (or
+    :class:`NumericalBreakdownError` when the trial that pushed it there was
+    non-finite) and :class:`EvalBudgetExceededError` when a rejected trial
+    exhausts the evaluation budget, adding nothing to ``state.inner``.
     """
     f_ref = nonmonotone_reference(state.fwindow, state.k, config.M)
     mu_bar = state.mu
@@ -143,6 +144,10 @@ def accept_step_rlbfgs(
         mu_bar *= config.gamma2
         inner += 1
         if mu_bar > config.mu_max:
+            if not math.isfinite(f_trial):
+                raise NumericalBreakdownError(
+                    f"mu escalated past {config.mu_max:g} on a non-finite trial value"
+                )
             raise RegularizationOverflowError(f"mu escalated past {config.mu_max:g}")
 
 
@@ -160,28 +165,39 @@ def update_mu(mu_used: float, ratio: float, config: SolverConfig) -> float:
     return mu_used
 
 
-def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0):
-    """Strong Wolfe search from ``x0`` along ``d`` with unit initial step.
+def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0, alpha_init=1.0):
+    """Strong Wolfe search from ``x0`` along ``d``, first trying ``alpha_init``.
 
     Returns ``(alpha, x, f, g)`` at the accepted point, reusing the probe
     that evaluated it. A probe whose evaluation breaks down just fails
-    sufficient decrease. Raises :class:`LineSearchError` when no step is found.
+    sufficient decrease. Raises :class:`LineSearchError` when no step is
+    found, or :class:`NumericalBreakdownError` when the search gave up right
+    after a probe that broke down.
     """
     probed = []
+    broke = False
 
     def along(alpha: float):
+        nonlocal broke
         x_t = x0 + alpha * d
         try:
             f_t, g_t = evaluate(objective, x_t, counters, "both")
         except NumericalBreakdownError:
+            broke = True
             return math.inf, 0.0
+        broke = False
         probed[:] = (x_t, g_t)
         return f_t, float(d.dot(g_t))
 
-    alpha, f, _ = strong_wolfe_search(
-        LineProbe(phi0=f0, dphi0=dphi0, evaluator=along),
-        config.c1, config.c2, 1.0, config.max_ls_iters,
-    )
+    try:
+        alpha, f, _ = strong_wolfe_search(
+            LineProbe(phi0=f0, dphi0=dphi0, evaluator=along),
+            config.c1, config.c2, alpha_init, config.max_ls_iters,
+        )
+    except LineSearchError as exc:
+        if broke:
+            raise NumericalBreakdownError(f"{exc}; the last probe was not finite") from exc
+        raise
     # The search only accepts the point of its last probe, and a probe that
     # broke down (phi = inf) never passes sufficient decrease.
     x, g = probed
@@ -224,7 +240,7 @@ def wolfe_extension_step(
         alpha, x_new, f_new, g_new = _wolfe_ray(
             objective, counters, config, x_unit, d, f_unit, d_dot_unit
         )
-    except LineSearchError:
+    except (LineSearchError, NumericalBreakdownError):
         return x_unit, f_unit, g_unit, d, None, True
     return x_new, f_new, g_new, (1.0 + alpha) * d, alpha, False
 
@@ -243,13 +259,32 @@ def _report(status, state, counters, t0, solver_name) -> RunReport:
     )
 
 
+def _first_trial_step(g: Vector) -> float:
+    """``min(1, 1/||g||)``, the first trial step along the unscaled ``-g``
+    (Liu & Nocedal 1989), so that the first probe moves by at most 1.
+
+    When ``g'g`` overflows although every entry is finite, the norm is
+    taken on ``g`` scaled by its largest entry, which keeps the step
+    positive."""
+    gnorm = math.sqrt(g.dot(g))
+    if math.isfinite(gnorm):
+        return min(1.0, 1.0 / gnorm)
+    scale = float(np.abs(g).max())
+    u = g / scale
+    return 1.0 / scale / math.sqrt(u.dot(u))
+
+
 def _line_search_step(state, objective, config, counters):
-    """lbfgs: a strong Wolfe search along the ``mu = 0`` direction."""
+    """lbfgs: a strong Wolfe search along the ``mu = 0`` direction. Until the
+    pair store holds a pair the direction is ``-g`` and the search first
+    tries ``min(1, 1/||g||)``; after that it first tries the unit step."""
     d = two_loop_direction(state.history, state.g, 0.0, state.gamma)
     dphi0 = float(d.dot(state.g))
     if not dphi0 < 0.0:
         raise NumericalBreakdownError(f"not a descent direction: d'g = {dphi0!r}")
-    alpha, x, f, g = _wolfe_ray(objective, counters, config, state.x, d, state.f, dphi0)
+    alpha_init = _first_trial_step(state.g) if len(state.history) == 0 else 1.0
+    alpha, x, f, g = _wolfe_ray(objective, counters, config, state.x, d, state.f, dphi0,
+                                alpha_init)
     return x, f, g, alpha * d, alpha, False, 0.0, state.mu, None, f
 
 
@@ -330,8 +365,11 @@ def solve_lbfgs(
 ) -> RunReport:
     """Baseline limited-memory BFGS with a strong Wolfe line search.
 
-    Uses the shared direction code at ``mu = 0`` and unit initial step
-    length; a failed line search terminates the run with that status.
+    Uses the shared direction code at ``mu = 0``; the line search first
+    tries ``min(1, 1/||g||)`` while no curvature pair is stored and the unit
+    step after that. A failed line search terminates the run with that
+    status, or with ``NumericalBreakdown`` when it gave up on a probe whose
+    evaluation broke down.
     """
     return _run(objective, x0, config, trace, "lbfgs", _line_search_step)
 

@@ -52,6 +52,31 @@ def random_history(rng, n, npairs, capacity=None, min_cos=0.1):
     return hist
 
 
+def faulty(objective, target, j, bad, persistent):
+    """``objective`` with its ``j``-th ``target`` call ("value" or
+    "gradient") returning ``bad``, or, when ``persistent``, every call from
+    the ``j``-th on. A bad gradient carries ``bad`` in its first entry."""
+    calls = [0]
+
+    def fault_due():
+        calls[0] += 1
+        return calls[0] == j or (persistent and calls[0] > j)
+
+    def value(x):
+        if target == "value" and fault_due():
+            return bad
+        return objective.value(x)
+
+    def gradient(x):
+        g = objective.gradient(x)
+        if target == "gradient" and fault_due():
+            g = np.array(g, dtype=float)
+            g[0] = bad
+        return g
+
+    return Objective(objective.dim, value, gradient)
+
+
 def gradient_check_error(problem, x):
     """Worst finite-difference deviation scaled by the gradient magnitude."""
     from regulus.problems import finite_difference_gradient

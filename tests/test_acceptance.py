@@ -141,21 +141,23 @@ def test_c05_gradient_consistency(suite, rng):
                 f"{len(suite)} problems (worst {worst:.2e})")
 
 
-# Pinned at the first green run; regression bounds are +-10%.
+# Pinned at the first green run; regression bounds are +-10%. The lbfgs pins
+# that left their bounds when the first trial step became min(1, 1/||g||)
+# were re-centred on the new counts.
 PINNED_NF = {
-    ("powell-singular:100", "lbfgs"): 100,
+    ("powell-singular:100", "lbfgs"): 77,
     ("powell-singular:100", "rlbfgs"): 71,
     ("powell-singular:100", "rlbfgs-sw"): 71,
-    ("quadratic-diag:100", "lbfgs"): 85,
+    ("quadratic-diag:100", "lbfgs"): 74,
     ("quadratic-diag:100", "rlbfgs"): 81,
     ("quadratic-diag:100", "rlbfgs-sw"): 81,
-    ("quadratic-ill:100", "lbfgs"): 2643,
+    ("quadratic-ill:100", "lbfgs"): 3933,
     ("quadratic-ill:100", "rlbfgs"): 4628,
     ("quadratic-ill:100", "rlbfgs-sw"): 3012,
     ("rosenbrock:1000", "lbfgs"): 49,
     ("rosenbrock:1000", "rlbfgs"): 80,
     ("rosenbrock:1000", "rlbfgs-sw"): 69,
-    ("rosenbrock:2", "lbfgs"): 49,
+    ("rosenbrock:2", "lbfgs"): 44,
     ("rosenbrock:2", "rlbfgs"): 80,
     ("rosenbrock:2", "rlbfgs-sw"): 69,
 }

@@ -132,6 +132,16 @@ def test_evaluate_rejects_dimension_mismatch():
         evaluate(obj, np.zeros(2), EvalCounter(), "value")
 
 
+@pytest.mark.parametrize("bad", [np.zeros(2), np.zeros(4), np.zeros((3, 1))],
+                         ids=["short", "long", "matrix"])
+def test_evaluate_rejects_gradient_of_wrong_shape(bad):
+    obj = Objective(dim=3, value=lambda x: 0.0, gradient=lambda x: bad)
+    counters = EvalCounter()
+    with pytest.raises(ValueError, match="gradient has shape"):
+        evaluate(obj, np.zeros(3), counters, "gradient")
+    assert counters.n_g == 1
+
+
 def test_termination_zero_gradient_converges():
     cfg = SolverConfig()
     decision = check_termination(

@@ -13,38 +13,13 @@ from regulus.core import Objective, SolverConfig, Status
 from regulus.problems import get_problem
 from regulus.solvers import SOLVERS, solve_rlbfgs, solve_rlbfgs_sw
 
-from conftest import CountingObjective
+from conftest import CountingObjective, faulty
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 FAULT_PROBLEMS = ("rosenbrock:2", "beale:2", "hilbert:10", "trigonometric:100",
                   "engval1:100", "two-well:100")
 CONFIGS = {"default": SolverConfig(), "max_ls_iters=2": SolverConfig(max_ls_iters=2)}
-
-
-def faulty(objective, target, j, bad, persistent):
-    """``objective`` with its ``j``-th ``target`` call ("value" or
-    "gradient") returning ``bad``, or, when ``persistent``, every call from
-    the ``j``-th on. A bad gradient carries ``bad`` in its first entry."""
-    calls = [0]
-
-    def fault_due():
-        calls[0] += 1
-        return calls[0] == j or (persistent and calls[0] > j)
-
-    def value(x):
-        if target == "value" and fault_due():
-            return bad
-        return objective.value(x)
-
-    def gradient(x):
-        g = objective.gradient(x)
-        if target == "gradient" and fault_due():
-            g = np.array(g, dtype=float)
-            g[0] = bad
-        return g
-
-    return Objective(objective.dim, value, gradient)
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
@@ -71,6 +46,11 @@ def test_injected_faults_end_in_a_report(solver, config_name, name, target, j, b
     assert report.counters.n_f == counting.value_calls
     assert report.counters.n_g == counting.grad_calls
     assert report.iterations == len(trace)
+    calls = counting.value_calls if target == "value" else counting.grad_calls
+    if persistent and calls >= j:
+        # Every evaluation from the j-th on is broken, so whichever search
+        # met the fault gave up on it.
+        assert report.status is Status.NUMERICAL_BREAKDOWN, report.status
     if report.status is Status.CONVERGED:
         assert report.final_residual < config.grad_tol
         if solver == "rlbfgs":

@@ -7,6 +7,7 @@ import pytest
 from regulus.core import (
     EvalBudgetExceededError,
     EvalCounter,
+    NumericalBreakdownError,
     Objective,
     RegularizationOverflowError,
     SolverConfig,
@@ -23,7 +24,8 @@ from regulus.solvers import (
     update_mu,
     wolfe_extension_step,
 )
-from conftest import CountingObjective, quadratic_objective
+from regulus.linesearch import strong_wolfe_search
+from conftest import CountingObjective, faulty, quadratic_objective
 
 
 def fresh_state(objective, x0, config):
@@ -96,14 +98,25 @@ def test_accept_step_two_trial_script():
 
 def test_accept_step_overflow_on_hostile_objective():
     def value(x):
-        if abs(float(x[0])) > 1e-30:
-            return math.inf
-        return 1.0
+        return 1.0 if float(x[0]) == 0.0 else 2.0  # every trial is worse
 
     objective = Objective(dim=1, value=value, gradient=lambda x: np.array([1.0]))
     config = SolverConfig()
     state, counters = fresh_state(objective, [0.0], config)
     with pytest.raises(RegularizationOverflowError):
+        accept_step_rlbfgs(state, config, objective, counters)
+
+
+def test_accept_step_breakdown_when_every_trial_is_nonfinite():
+    # Escalating mu past mu_max on a trial that could not be evaluated is a
+    # breakdown, not an overflow of the regularization.
+    def value(x):
+        return 1.0 if float(x[0]) == 0.0 else math.inf
+
+    objective = Objective(dim=1, value=value, gradient=lambda x: np.array([1.0]))
+    config = SolverConfig()
+    state, counters = fresh_state(objective, [0.0], config)
+    with pytest.raises(NumericalBreakdownError, match="non-finite trial"):
         accept_step_rlbfgs(state, config, objective, counters)
 
 
@@ -188,6 +201,30 @@ def test_extension_failure_falls_back_to_unit_step():
     assert counters.n_f > 0  # the search ran before falling back
 
 
+def test_extension_gives_up_on_broken_probes_and_falls_back():
+    # every probe beyond the unit point breaks down; the run keeps the
+    # accepted unit step all the same
+    objective = Objective(
+        dim=1,
+        value=lambda x: -float(x[0]) if float(x[0]) <= 1.0 else math.nan,
+        gradient=lambda x: np.array([-1.0]),
+    )
+    config = SolverConfig()
+    counters = EvalCounter()
+    x_unit = np.array([1.0])
+    d = np.array([1.0])
+    x, f, g, s, alpha, ls_failed = wolfe_extension_step(
+        objective, counters, config, x_unit, d,
+        f_unit=-1.0, g_unit=np.array([-1.0]), g_prev=np.array([-1.0]),
+        mu_used=config.mu_min,
+    )
+    assert ls_failed
+    assert alpha is None
+    np.testing.assert_array_equal(x, x_unit)
+    np.testing.assert_array_equal(s, d)
+    assert counters.n_f == config.max_ls_iters
+
+
 # --- full runs --------------------------------------------------------------
 
 @pytest.mark.parametrize("solve", [solve_lbfgs, solve_rlbfgs, solve_rlbfgs_sw])
@@ -216,11 +253,82 @@ def test_linear_objective_ends_in_a_report(solve, status):
 
 
 def test_lbfgs_quadratic_single_iteration():
+    # With ||g0|| <= 1 the first trial is the unit step, the exact minimizer.
     objective = quadratic_objective(np.ones(3))
-    report = solve_lbfgs(objective, np.array([1.0, -2.0, 2.0]))
+    report = solve_lbfgs(objective, np.array([0.2, -0.4, 0.4]))
     assert report.status is Status.CONVERGED
     assert report.iterations == 1
     np.testing.assert_allclose(report.x, np.zeros(3), atol=1e-12)
+    # With ||g0|| = 3 the first step is 1/3, which the Wolfe conditions
+    # accept; the stored pair then makes the second step exact.
+    report = solve_lbfgs(objective, np.array([1.0, -2.0, 2.0]))
+    assert report.status is Status.CONVERGED
+    assert report.iterations == 2
+    np.testing.assert_allclose(report.x, np.zeros(3), atol=1e-12)
+
+
+def _recording(objective, points):
+    def value(x):
+        points.append(x.copy())
+        return objective.value(x)
+
+    return objective._replace(value=value)
+
+
+def test_lbfgs_first_trial_step_is_one_over_gradient_norm():
+    # Liu & Nocedal's first step: the first point probed after x0 is
+    # x0 - a * g0 with a = min(1, 1/||g0||), to the last bit.
+    problem = get_problem("rosenbrock:2")
+    points = []
+    solve_lbfgs(_recording(problem.objective, points), problem.x0)
+    g0 = problem.objective.gradient(problem.x0)
+    a = min(1.0, 1.0 / math.sqrt(g0.dot(g0)))
+    assert a < 1.0
+    assert np.array_equal(points[0], problem.x0)
+    assert np.array_equal(points[1], problem.x0 + a * (-g0))
+
+
+def test_lbfgs_tries_the_unit_step_once_a_pair_is_stored(monkeypatch):
+    import regulus.solvers as solvers_mod
+
+    first_trials = []
+
+    def recording_search(probe, c1, c2, alpha_init, max_iters):
+        first_trials.append(alpha_init)
+        return strong_wolfe_search(probe, c1, c2, alpha_init, max_iters)
+
+    monkeypatch.setattr(solvers_mod, "strong_wolfe_search", recording_search)
+    problem = get_problem("rosenbrock:2")
+    report = solve_lbfgs(problem.objective, problem.x0)
+    g0 = problem.objective.gradient(problem.x0)
+    assert report.iterations == len(first_trials) > 1
+    assert first_trials == [1.0 / math.sqrt(g0.dot(g0))] + [1.0] * (report.iterations - 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_lbfgs_first_step_with_overflowing_gradient_norm():
+    # Every gradient entry is finite but g'g overflows: the first trial step
+    # stays positive, the first probe moves by one, and the run ends in a
+    # report.
+    c = 1e200
+    objective = Objective(2, lambda x: 0.5 * c * float(x.dot(x)), lambda x: c * x)
+    x0 = np.array([1.0, 1.0])
+    points = []
+    report = solve_lbfgs(_recording(objective, points), x0)
+    assert isinstance(report.status, Status)
+    assert np.linalg.norm(points[1] - x0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("solve", [solve_lbfgs, solve_rlbfgs, solve_rlbfgs_sw])
+@pytest.mark.parametrize("x0", [
+    np.zeros(2), np.zeros(4), np.zeros((3, 1)),
+    np.array([0.0, math.nan, 0.0]), np.array([math.inf, 0.0, 0.0]),
+], ids=["short", "long", "matrix", "nan", "inf"])
+def test_bad_start_is_rejected_before_any_evaluation(solve, x0):
+    counting = CountingObjective(quadratic_objective(np.ones(3)))
+    with pytest.raises(ValueError, match="x0 must be"):
+        solve(counting.objective, x0)
+    assert (counting.value_calls, counting.grad_calls) == (0, 0)
 
 
 def test_rlbfgs_rosenbrock_converges():
@@ -284,7 +392,7 @@ def test_budget_exceeded_status():
 
 def test_regularization_overflow_status():
     def value(x):
-        return 1.0 if abs(float(x[0])) < 1e-30 else math.inf
+        return 1.0 if float(x[0]) == 0.0 else 2.0  # every trial is worse
 
     objective = Objective(dim=1, value=value, gradient=lambda x: np.array([1.0]))
     report = solve_rlbfgs(objective, np.zeros(1))
@@ -319,6 +427,22 @@ def test_numerical_breakdown_at_start(solve, broken):
     else:
         assert report.final_f == problem.objective.value(problem.x0)
         assert (report.counters.n_f, report.counters.n_g) == (1, 1)
+
+
+@pytest.mark.parametrize("solve, target", [
+    (solve_lbfgs, "value"),
+    (solve_lbfgs, "gradient"),
+    (solve_rlbfgs, "value"),
+    (solve_rlbfgs_sw, "value"),
+])
+def test_persistent_fault_is_a_breakdown(solve, target):
+    # From the 10th call on every value (or gradient) is NaN: the line
+    # search runs out of probes, or mu escalates past mu_max, on evaluations
+    # that broke down, and the run reports that breakdown.
+    problem = get_problem("rosenbrock:2")
+    objective = faulty(problem.objective, target, 10, math.nan, persistent=True)
+    report = solve(objective, problem.x0)
+    assert report.status is Status.NUMERICAL_BREAKDOWN
 
 
 def test_pushed_pairs_keep_positive_shifted_curvature(monkeypatch):
