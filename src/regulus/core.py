@@ -145,13 +145,18 @@ class SolverConfig:
     def from_mapping(cls, data: Mapping[str, Union[str, int, float]]) -> "SolverConfig":
         """Build a config from a flat mapping; unknown keys are rejected.
 
-        A field annotated ``int`` takes only finite integral values."""
+        A field annotated ``int`` takes only finite integral values. Every
+        bad value, an integer too large for a float included, raises
+        ``ValueError``."""
         types = get_type_hints(cls)
         kwargs = {}
         for key, raw in data.items():
             if key not in types:
                 raise ValueError(f"unknown config key: {key!r}")
-            value = float(raw)
+            try:
+                value = float(raw)
+            except OverflowError:
+                raise ValueError(f"config key {key!r} is out of range") from None
             if types[key] is int:
                 if not value.is_integer():
                     raise ValueError(f"config key {key!r} must be an integer")

@@ -8,6 +8,7 @@ consistency checks.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -263,15 +264,36 @@ def make_problem(family: str, n: Optional[int] = None) -> ProblemDef:
 
 
 def get_problem(label: str) -> ProblemDef:
-    """Look up a problem by ``"name"`` or ``"name:n"``."""
-    family, sep, dim = label.partition(":")
-    if not sep:
-        return make_problem(family)
+    """Look up a problem by ``"name"`` or ``"name:n"``, optionally followed
+    by a start scale, as in ``"beale:2@100"``.
+
+    The scale multiplies the standard start; an all-zero start becomes
+    ``scale`` in every coordinate (Moré, Garbow & Hillstrom 1981). The name
+    keeps the ``@scale`` suffix. A scale that is not finite and positive, or
+    a scaled start that overflows, is a ``ValueError``.
+    """
+    base, at, scale_text = label.partition("@")
+    family, sep, dim = base.partition(":")
+    n = None
+    if sep:
+        try:
+            n = int(dim)
+        except ValueError:
+            raise ValueError(f"bad problem dimension in {label!r}") from None
+    problem = make_problem(family, n)
+    if not at:
+        return problem
     try:
-        n = int(dim)
+        scale = float(scale_text)
     except ValueError:
-        raise ValueError(f"bad problem dimension in {label!r}") from None
-    return make_problem(family, n)
+        raise ValueError(f"bad start scale in {label!r}") from None
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"start scale must be finite and positive in {label!r}")
+    with np.errstate(over="ignore"):
+        x0 = scale * problem.x0 if np.any(problem.x0) else np.full(problem.dimension, scale)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"scaled start is not finite in {label!r}")
+    return problem._replace(name=f"{problem.name}@{scale_text}", x0=x0)
 
 
 def registry() -> List[ProblemDef]:

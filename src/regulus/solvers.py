@@ -165,8 +165,8 @@ def update_mu(mu_used: float, ratio: float, config: SolverConfig) -> float:
     return mu_used
 
 
-def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0, alpha_init=1.0):
-    """Strong Wolfe search from ``x0`` along ``d``, first trying ``alpha_init``.
+def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0):
+    """Strong Wolfe search from ``x0`` along ``d``, first trying the unit step.
 
     Returns ``(alpha, x, f, g)`` at the accepted point, reusing the probe
     that evaluated it. A probe whose evaluation breaks down just fails
@@ -192,7 +192,7 @@ def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0, alpha_init=1.0):
     try:
         alpha, f, _ = strong_wolfe_search(
             LineProbe(phi0=f0, dphi0=dphi0, evaluator=along),
-            config.c1, config.c2, alpha_init, config.max_ls_iters,
+            config.c1, config.c2, 1.0, config.max_ls_iters,
         )
     except LineSearchError as exc:
         if broke:
@@ -259,32 +259,33 @@ def _report(status, state, counters, t0, solver_name) -> RunReport:
     )
 
 
-def _first_trial_step(g: Vector) -> float:
-    """``min(1, 1/||g||)``, the first trial step along the unscaled ``-g``
-    (Liu & Nocedal 1989), so that the first probe moves by at most 1.
+def _initial_scale(g: Vector) -> float:
+    """``min(1, 1/||g||)``, the scale of the initial matrix until the pair
+    store holds a pair, so that the first unit step moves by at most 1 (the
+    first step of Liu & Nocedal 1989). A gradient with ``||g|| <= 1``,
+    including a zero one, keeps the scale 1.
 
     When ``g'g`` overflows although every entry is finite, the norm is
-    taken on ``g`` scaled by its largest entry, which keeps the step
+    taken on ``g`` scaled by its largest entry, which keeps the scale
     positive."""
     gnorm = math.sqrt(g.dot(g))
+    if gnorm <= 1.0:
+        return 1.0
     if math.isfinite(gnorm):
-        return min(1.0, 1.0 / gnorm)
+        return 1.0 / gnorm
     scale = float(np.abs(g).max())
     u = g / scale
     return 1.0 / scale / math.sqrt(u.dot(u))
 
 
 def _line_search_step(state, objective, config, counters):
-    """lbfgs: a strong Wolfe search along the ``mu = 0`` direction. Until the
-    pair store holds a pair the direction is ``-g`` and the search first
-    tries ``min(1, 1/||g||)``; after that it first tries the unit step."""
+    """lbfgs: a strong Wolfe search along the ``mu = 0`` direction that
+    first tries the unit step."""
     d = two_loop_direction(state.history, state.g, 0.0, state.gamma)
     dphi0 = float(d.dot(state.g))
-    if not dphi0 < 0.0:
-        raise NumericalBreakdownError(f"not a descent direction: d'g = {dphi0!r}")
-    alpha_init = _first_trial_step(state.g) if len(state.history) == 0 else 1.0
-    alpha, x, f, g = _wolfe_ray(objective, counters, config, state.x, d, state.f, dphi0,
-                                alpha_init)
+    if not -math.inf < dphi0 < 0.0:
+        raise NumericalBreakdownError(f"not a finite descent direction: d'g = {dphi0!r}")
+    alpha, x, f, g = _wolfe_ray(objective, counters, config, state.x, d, state.f, dphi0)
     return x, f, g, alpha * d, alpha, False, 0.0, state.mu, None, f
 
 
@@ -330,14 +331,16 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
         state.f = evaluate(objective, x, counters, "value")
         state.fwindow.append(state.f)
         state.g = evaluate(objective, x, counters, "gradient")
+        state.gamma = _initial_scale(state.g)
         while True:
             decision = check_termination(state.g, state.x, counters, config)
             if decision is not None:
                 return _report(decision, state, counters, t0, solver_name)
             (x, f, g, s, alpha, ls_failed,
              mu, mu_next, ratio, f_unit) = take_step(state, objective, config, counters)
-            state.history.push(s, g - state.g)
-            state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
+            # A dropped pair leaves the newest pair, and so the scale, as it was.
+            if state.history.push(s, g - state.g):
+                state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
             state.fwindow.append(f)
             if trace is not None:
                 trace.append(TraceRecord(
@@ -366,8 +369,7 @@ def solve_lbfgs(
     """Baseline limited-memory BFGS with a strong Wolfe line search.
 
     Uses the shared direction code at ``mu = 0``; the line search first
-    tries ``min(1, 1/||g||)`` while no curvature pair is stored and the unit
-    step after that. A failed line search terminates the run with that
+    tries the unit step. A failed line search terminates the run with that
     status, or with ``NumericalBreakdown`` when it gave up on a probe whose
     evaluation broke down.
     """

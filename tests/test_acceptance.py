@@ -142,8 +142,9 @@ def test_c05_gradient_consistency(suite, rng):
 
 
 # Pinned at the first green run; regression bounds are +-10%. The lbfgs pins
-# that left their bounds when the first trial step became min(1, 1/||g||)
-# were re-centred on the new counts.
+# that left their bounds when the first trial step became min(1, 1/||g||),
+# and the rlbfgs/rlbfgs-sw pins that left them when every solver started
+# from the initial scale min(1, 1/||g0||), were re-centred on the new counts.
 PINNED_NF = {
     ("powell-singular:100", "lbfgs"): 77,
     ("powell-singular:100", "rlbfgs"): 71,
@@ -152,14 +153,14 @@ PINNED_NF = {
     ("quadratic-diag:100", "rlbfgs"): 81,
     ("quadratic-diag:100", "rlbfgs-sw"): 81,
     ("quadratic-ill:100", "lbfgs"): 3933,
-    ("quadratic-ill:100", "rlbfgs"): 4628,
-    ("quadratic-ill:100", "rlbfgs-sw"): 3012,
+    ("quadratic-ill:100", "rlbfgs"): 3961,
+    ("quadratic-ill:100", "rlbfgs-sw"): 3589,
     ("rosenbrock:1000", "lbfgs"): 49,
     ("rosenbrock:1000", "rlbfgs"): 80,
     ("rosenbrock:1000", "rlbfgs-sw"): 69,
     ("rosenbrock:2", "lbfgs"): 44,
-    ("rosenbrock:2", "rlbfgs"): 80,
-    ("rosenbrock:2", "rlbfgs-sw"): 69,
+    ("rosenbrock:2", "rlbfgs"): 67,
+    ("rosenbrock:2", "rlbfgs-sw"): 85,
 }
 
 
@@ -201,7 +202,8 @@ def _monotone_reference_run(problem, config):
     f = evaluate(problem.objective, x, counters, "value")
     g = evaluate(problem.objective, x, counters, "gradient")
     history = PairHistory(config.m)
-    scaling = 1.0
+    gnorm = math.sqrt(g.dot(g))
+    scaling = 1.0 if gnorm <= 1.0 else 1.0 / gnorm
     mu = config.mu0
     iterates = []
     while True:
@@ -220,8 +222,8 @@ def _monotone_reference_run(problem, config):
         mu = update_mu(mu_bar, ratio, config)
         x_unit = x + d
         g_new = evaluate(problem.objective, x_unit, counters, "gradient")
-        history.push(d, g_new - g)
-        scaling = gamma_scale(history.newest, config.alpha_floor)
+        if history.push(d, g_new - g):
+            scaling = gamma_scale(history.newest, config.alpha_floor)
         iterates.append((f_trial, counters.n_f))
         x, f, g = x_unit, f_trial, g_new
 

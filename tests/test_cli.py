@@ -58,13 +58,21 @@ def test_solve_bad_param_is_usage_error(capsys):
     ["beale", "-p", "m=1e30"],
     ["beale", "-p", "M=1e30"],
     ["trigonometric:0"],
-], ids=["m-inf", "max_fevals-overflow", "m-huge", "M-huge", "dimension-zero"])
+    ["beale@0"],
+    ["beale@nan"],
+], ids=["m-inf", "max_fevals-overflow", "m-huge", "M-huge", "dimension-zero",
+        "scale-zero", "scale-nan"])
 def test_solve_out_of_range_input_is_usage_error(argv, monkeypatch, capsys):
     # Non-finite or oversized integers and empty problems are usage errors,
     # not an OverflowError or ZeroDivisionError traceback or an empty solve.
     monkeypatch.setitem(SOLVERS, "rlbfgs", _no_solve)
     assert main(["solve", *argv]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_solve_far_start(capsys):
+    assert main(["solve", "penalty1:100@100", "--solver", "lbfgs"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "Converged"
 
 
 def test_solve_trace_file(tmp_path, capsys):

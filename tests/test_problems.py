@@ -97,6 +97,37 @@ def test_problem_lookup_by_name_and_dimension():
         get_problem("beale:3")
 
 
+def test_start_scale_in_label():
+    base = get_problem("penalty1:100")
+    far = get_problem("penalty1:100@100")
+    assert far.name == "penalty1:100@100"
+    assert far.dimension == base.dimension
+    assert np.array_equal(far.x0, 100.0 * base.x0)
+    assert get_problem("beale@10").name == "beale:2@10"
+    assert np.array_equal(get_problem("beale@0.5").x0, [0.5, 0.5])
+
+
+def test_start_scale_replaces_an_all_zero_start(monkeypatch):
+    # Moré, Garbow & Hillstrom: a zero start scaled by s becomes s * 1.
+    import regulus.problems as problems_mod
+
+    real = problems_mod.make_problem
+
+    def zero_start(family, n=None):
+        problem = real(family, n)
+        return problem._replace(x0=np.zeros(problem.dimension))
+
+    monkeypatch.setattr(problems_mod, "make_problem", zero_start)
+    assert np.array_equal(get_problem("quadratic-diag:3@10").x0, [10.0, 10.0, 10.0])
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "-inf", "x", "", "1e400", "1e307"])
+def test_start_scale_must_be_finite_and_positive(scale):
+    # 1e307 is finite, but the start it scales overflows.
+    with pytest.raises(ValueError):
+        get_problem(f"penalty1:100@{scale}")
+
+
 def test_finite_differences_on_quadratic():
     objective = Objective(
         dim=2,

@@ -1,14 +1,20 @@
-"""Property tests over whole runs: fault injection into the objective, and
-global convergence of the regularized solvers on strongly convex quadratics.
+"""Property tests over whole runs: fault injection into the objective,
+global convergence of the regularized solvers on strongly convex quadratics,
+and random valid and invalid solver configs.
 """
 
+import contextlib
+import dataclasses
+import io
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regulus.cli import main
 from regulus.core import Objective, SolverConfig, Status
 from regulus.problems import get_problem
 from regulus.solvers import SOLVERS, solve_rlbfgs, solve_rlbfgs_sw
@@ -96,3 +102,70 @@ def test_regularized_solvers_converge_on_convex_quadratics(solve, seed, n, log_k
     for record in trace:
         assert record.ratio >= config.eta1
         assert config.mu_min <= record.mu <= config.mu_max
+
+
+# Values that sit on or across the bounds of some field, the non-finite
+# ones, non-integral numbers for the int fields, and integers beyond both a
+# C ssize_t and a float.
+CONFIG_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-4, 0.5,
+                     0.9, 1.0, 2.0, 2.5, 10.0, 1e15, 1e300,
+                     sys.maxsize, sys.maxsize + 1, 10**400]),
+    st.integers(-3, 30),
+    st.floats(-2.0, 2.0),
+)
+# Each drawn key takes one of those values or its default, doubled or halved,
+# so that valid configs other than the defaults are drawn too.
+CONFIG_MAPPINGS = st.lists(
+    st.sampled_from(dataclasses.fields(SolverConfig)), unique=True
+).flatmap(lambda drawn: st.fixed_dictionaries({
+    f.name: st.one_of(CONFIG_VALUES, st.sampled_from([f.default, 2 * f.default, f.default / 2]))
+    for f in drawn
+}))
+
+
+def _satisfies_invariants(c: SolverConfig) -> bool:
+    """The invariants ``SolverConfig.__post_init__`` promises, restated."""
+    ints = all(type(getattr(c, f.name)) is int
+               for f in dataclasses.fields(c) if f.type in (int, "int"))
+    return ints and (
+        0.0 < c.mu_min <= c.mu0 <= c.mu_max
+        and 0.0 < c.gamma1 <= 1.0 < c.gamma2
+        and 0.0 < c.eta1 < c.eta2 <= 1.0
+        and 1 <= c.m <= sys.maxsize
+        and 0 <= c.M < sys.maxsize
+        and 0.0 < c.c1 < c.c2 < 1.0
+        and c.grad_tol > 0.0
+        and c.max_fevals >= 1
+        and c.alpha_floor > 0.0
+        and c.max_ls_iters >= 1
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=CONFIG_MAPPINGS)
+def test_config_from_mapping_is_valid_or_a_value_error(data):
+    try:
+        config = SolverConfig.from_mapping(data)
+    except ValueError:
+        return
+    assert _satisfies_invariants(config), config
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=CONFIG_MAPPINGS)
+def test_cli_config_is_a_run_or_a_usage_error(data):
+    # Exit 2 exactly when the config is invalid; a valid one runs, and exits
+    # 0 or, when the run does not converge, 1. Never a traceback.
+    text = {key: repr(value) for key, value in data.items()}
+    try:
+        SolverConfig.from_mapping(text)
+        valid = True
+    except ValueError:
+        valid = False
+    argv = ["solve", "beale"]
+    for key, value in text.items():
+        argv += ["-p", f"{key}={value}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in ((0, 1) if valid else (2,)), (argv, code)

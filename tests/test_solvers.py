@@ -14,8 +14,9 @@ from regulus.core import (
     Status,
 )
 from regulus.curvature import PairHistory, shifted_curvature
-from regulus.problems import get_problem
+from regulus.problems import get_problem, registry
 from regulus.solvers import (
+    SOLVERS,
     IterateState,
     accept_step_rlbfgs,
     solve_lbfgs,
@@ -259,8 +260,9 @@ def test_lbfgs_quadratic_single_iteration():
     assert report.status is Status.CONVERGED
     assert report.iterations == 1
     np.testing.assert_allclose(report.x, np.zeros(3), atol=1e-12)
-    # With ||g0|| = 3 the first step is 1/3, which the Wolfe conditions
-    # accept; the stored pair then makes the second step exact.
+    # With ||g0|| = 3 the initial scale is 1/3, so the unit step moves by
+    # g0/3, which the Wolfe conditions accept; the stored pair then makes
+    # the second step exact.
     report = solve_lbfgs(objective, np.array([1.0, -2.0, 2.0]))
     assert report.status is Status.CONVERGED
     assert report.iterations == 2
@@ -277,7 +279,8 @@ def _recording(objective, points):
 
 def test_lbfgs_first_trial_step_is_one_over_gradient_norm():
     # Liu & Nocedal's first step: the first point probed after x0 is
-    # x0 - a * g0 with a = min(1, 1/||g0||), to the last bit.
+    # x0 - a * g0 with a = min(1, 1/||g0||), to the last bit. The scale sits
+    # in the initial matrix, and the search tries the unit step.
     problem = get_problem("rosenbrock:2")
     points = []
     solve_lbfgs(_recording(problem.objective, points), problem.x0)
@@ -300,9 +303,10 @@ def test_lbfgs_tries_the_unit_step_once_a_pair_is_stored(monkeypatch):
     monkeypatch.setattr(solvers_mod, "strong_wolfe_search", recording_search)
     problem = get_problem("rosenbrock:2")
     report = solve_lbfgs(problem.objective, problem.x0)
-    g0 = problem.objective.gradient(problem.x0)
+    # The first direction carries the scale min(1, 1/||g0||), so every
+    # search, the first one included, tries the unit step first.
     assert report.iterations == len(first_trials) > 1
-    assert first_trials == [1.0 / math.sqrt(g0.dot(g0))] + [1.0] * (report.iterations - 1)
+    assert first_trials == [1.0] * report.iterations
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -317,6 +321,45 @@ def test_lbfgs_first_step_with_overflowing_gradient_norm():
     report = solve_lbfgs(_recording(objective, points), x0)
     assert isinstance(report.status, Status)
     assert np.linalg.norm(points[1] - x0) == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_lbfgs_overflowing_directional_derivative_is_a_breakdown():
+    # A stored pair and a gradient whose entries are finite but whose g'g
+    # overflows: d'g is -inf, and the step ends as a breakdown before any
+    # probe rather than as a search that cannot satisfy sufficient decrease.
+    from regulus.solvers import _line_search_step
+
+    counting = CountingObjective(quadratic_objective(np.ones(2)))
+    config = SolverConfig()
+    state, counters = fresh_state(counting.objective, np.zeros(2), config)
+    state.history.push(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    state.g = np.array([1e200, 1e200])
+    calls = (counting.value_calls, counting.grad_calls)
+    with pytest.raises(NumericalBreakdownError, match="d'g = -inf"):
+        _line_search_step(state, counting.objective, config, counters)
+    assert (counting.value_calls, counting.grad_calls) == calls
+
+
+@pytest.mark.parametrize("scale", [10, 100])
+def test_far_starts_converge(scale):
+    # Moré, Garbow & Hillstrom's far starts: every registry problem from
+    # its start scaled by 10 and by 100 is solved by every solver.
+    for problem in registry():
+        far = get_problem(f"{problem.name}@{scale}")
+        for name, solve in SOLVERS.items():
+            report = solve(far.objective, far.x0)
+            assert report.status is Status.CONVERGED, (far.name, name, report.status)
+
+
+@pytest.mark.parametrize("solve", [solve_rlbfgs, solve_rlbfgs_sw])
+def test_regularized_first_step_is_not_rejected_from_a_steep_start(solve):
+    # ||g0|| is large on penalty1:100; the initial scale 1/||g0|| makes the
+    # first unit trial short enough for the ratio test to accept it at mu0.
+    problem = get_problem("penalty1:100")
+    trace = []
+    solve(problem.objective, problem.x0, trace=trace)
+    assert (trace[0].nf, trace[0].mu) == (2, SolverConfig().mu0)
 
 
 @pytest.mark.parametrize("solve", [solve_lbfgs, solve_rlbfgs, solve_rlbfgs_sw])
