@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
 from typing import List, Optional
 
-from .core import SolverConfig, Status
+from .core import SolverConfig, Status, read_config_file
 from .harness import (
     DEFAULT_TAU_GRID,
     EmptyIntersectionError,
@@ -30,9 +29,9 @@ BROKEN_PIPE = 141
 
 
 def _build_config(args) -> SolverConfig:
-    data = {}
-    if args.config:
-        data.update(dataclasses.asdict(SolverConfig.from_file(args.config)))
+    """The config file's entries, overridden by each ``-p``, validated once
+    as a whole."""
+    data = read_config_file(args.config) if args.config else {}
     for item in args.param or []:
         key, sep, value = item.partition("=")
         if not sep:

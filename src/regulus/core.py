@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Literal, Mapping, NamedTuple, Optional, Union, get_type_hints
+from typing import Callable, Dict, Literal, Mapping, NamedTuple, Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -96,7 +96,8 @@ class SolverConfig:
     ``mu0``/``mu_min`` bound the regularization parameter, ``gamma1`` and
     ``gamma2`` shrink/grow it, ``eta1``/``eta2`` are the ratio-test
     thresholds, ``m`` is the curvature memory, ``M`` the nonmonotone window
-    and ``c1``/``c2`` the Wolfe constants.
+    and ``c1``/``c2`` the Wolfe constants. ``mu_max``, which must be finite,
+    is the cap past which mu escalation ends the run.
     """
 
     mu0: float = 1.0
@@ -112,7 +113,6 @@ class SolverConfig:
     grad_tol: float = 1e-5
     max_fevals: int = 10000
     mu_max: float = 1e15
-    alpha_floor: float = 1e-8
     max_ls_iters: int = 20
 
     def __post_init__(self):
@@ -134,10 +134,8 @@ class SolverConfig:
             raise ValueError("grad_tol must be positive")
         if not self.max_fevals >= 1:
             raise ValueError("max_fevals must be a positive integer")
-        if not self.mu_max >= self.mu0:
-            raise ValueError("mu_max must be at least mu0")
-        if not self.alpha_floor > 0.0:
-            raise ValueError("alpha_floor must be positive")
+        if not self.mu0 <= self.mu_max < math.inf:
+            raise ValueError("mu_max must be finite and at least mu0")
         if not self.max_ls_iters >= 1:
             raise ValueError("max_ls_iters must be a positive integer")
 
@@ -166,20 +164,26 @@ class SolverConfig:
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "SolverConfig":
-        """Parse a flat ``key = value`` config file (one entry per line).
+        """Build a config from a file in the format of :func:`read_config_file`."""
+        return cls.from_mapping(read_config_file(path))
 
-        Blank lines and ``#`` comments are ignored; every key is optional.
-        """
-        data = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip() or not value.strip():
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            data[key.strip()] = value.strip()
-        return cls.from_mapping(data)
+
+def read_config_file(path: Union[str, Path]) -> Dict[str, str]:
+    """Parse a flat ``key = value`` config file (one entry per line) into a
+    mapping of raw strings, for :meth:`SolverConfig.from_mapping`.
+
+    Blank lines and ``#`` comments are ignored; every key is optional.
+    """
+    data = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip() or not value.strip():
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        data[key.strip()] = value.strip()
+    return data
 
 
 class RunReport:

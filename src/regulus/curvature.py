@@ -21,6 +21,8 @@ import numpy as np
 from .core import NumericalBreakdownError, Vector
 
 _ORACLE_MAX_DIM = 64
+# Least curvature s'y/||s||^2 a pair needs for the s'y/||y||^2 scale.
+ALPHA_FLOOR = 1e-8
 
 
 class CurvaturePair(NamedTuple):
@@ -101,23 +103,22 @@ def shifted_curvature(pair: CurvaturePair, mu: float) -> Tuple[Vector, float]:
     return y_shifted, s_ty
 
 
-def gamma_scale(last_pair: Optional[CurvaturePair], alpha_floor: float) -> float:
+def gamma_scale(last_pair: Optional[CurvaturePair]) -> float:
     """Scale ``gamma`` of the initial matrix from the most recent curvature pair.
 
-    Uses ``s'y / ||y||^2`` when the pair has enough positive curvature and
-    falls back to ``alpha_floor * ||s||^2 / ||y||^2`` otherwise, so the
-    result is positive for any stored pair whose products neither overflow
-    nor underflow. With no pair yet the scale is 1.
+    Uses ``s'y / ||y||^2`` when the pair has enough positive curvature
+    (``s'y >= ALPHA_FLOOR * ||s||^2``) and falls back to
+    ``ALPHA_FLOOR * ||s||^2 / ||y||^2`` otherwise, so the result is positive
+    for any stored pair whose products neither overflow nor underflow. With
+    no pair yet the scale is 1.
     """
-    if alpha_floor <= 0.0:
-        raise ValueError("alpha_floor must be positive")
     if last_pair is None:
         return 1.0
     if last_pair.yy == 0.0:
         raise NumericalBreakdownError("curvature pair has zero gradient difference")
-    if last_pair.sy >= alpha_floor * last_pair.ss:
+    if last_pair.sy >= ALPHA_FLOOR * last_pair.ss:
         return last_pair.sy / last_pair.yy
-    return alpha_floor * last_pair.ss / last_pair.yy
+    return ALPHA_FLOOR * last_pair.ss / last_pair.yy
 
 
 def initial_diag(gamma: float, mu: float) -> float:

@@ -1,8 +1,9 @@
 """Strong Wolfe line search: bracketing plus safeguarded interpolation zoom.
 
-Only the 1-D restriction of the objective is visible here; callers supply an
-evaluator returning ``(phi(alpha), phi'(alpha))`` that also does whatever
-evaluation accounting they need.
+Only the 1-D restriction of the objective is visible here; callers supply
+``phi(alpha) -> (value, slope)``, which also does whatever evaluation
+accounting they need and returns a value of ``inf`` for a point that broke
+down.
 """
 
 from __future__ import annotations
@@ -10,32 +11,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Tuple
 
-from .core import LineSearchError
+from .core import LineSearchError, NumericalBreakdownError
 
 ALPHA_MIN = 1e-20
 ALPHA_MAX = 1e20
-
-
-class LineProbe:
-    """1-D view of the objective along a descent direction.
-
-    ``phi0`` and ``dphi0`` are the value and directional derivative at the
-    base point; ``dphi0`` must be negative.
-    """
-
-    __slots__ = ("phi0", "dphi0", "evaluator")
-
-    def __init__(
-        self,
-        phi0: float,
-        dphi0: float,
-        evaluator: Callable[[float], Tuple[float, float]],
-    ):
-        if not dphi0 < 0.0:
-            raise ValueError("base directional derivative must be negative")
-        self.phi0 = phi0
-        self.dphi0 = dphi0
-        self.evaluator = evaluator
 
 
 def _cubic_minimizer(a, fa, dfa, b, fb, dfb):
@@ -58,42 +37,53 @@ def _cubic_minimizer(a, fa, dfa, b, fb, dfb):
 
 
 def strong_wolfe_search(
-    probe: LineProbe,
+    phi: Callable[[float], Tuple[float, float]],
+    phi0: float,
+    dphi0: float,
     c1: float,
     c2: float,
-    alpha_init: float = 1.0,
-    max_iters: int = 20,
+    max_iters: int,
 ) -> Tuple[float, float, float]:
     """Find a step satisfying sufficient decrease and the strong curvature bound.
 
-    The returned ``(alpha, phi(alpha), phi'(alpha))`` satisfies
+    ``phi(alpha)`` returns the value and slope along the ray, and ``phi0``
+    and ``dphi0 < 0`` are those at ``alpha = 0``. The first trial is the
+    unit step. The returned ``(alpha, phi(alpha), phi'(alpha))`` satisfies
 
         phi(alpha) <= phi(0) + c1 * alpha * phi'(0)
         |phi'(alpha)| <= c2 * |phi'(0)|
 
     with ``alpha`` allowed to exceed 1. ``max_iters`` bounds the total number
-    of evaluator calls across the bracketing and zoom phases. Raises
+    of calls to ``phi`` across the bracketing and zoom phases. Raises
     :class:`LineSearchError` when the budget runs out, the bracket collapses
-    below ``ALPHA_MIN``, or the trial step exceeds ``ALPHA_MAX``.
+    below ``ALPHA_MIN``, or the trial step exceeds ``ALPHA_MAX``, and
+    :class:`NumericalBreakdownError` instead when the search gives up right
+    after a probe whose value was not finite.
     """
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError("requires 0 < c1 < c2 < 1")
-    if alpha_init <= 0.0:
-        raise ValueError("alpha_init must be positive")
-    phi0, dphi0 = probe.phi0, probe.dphi0
+    if not dphi0 < 0.0:
+        raise ValueError("base directional derivative must be negative")
     curve_bound = -c2 * dphi0
     evals = 0
+    phi_last = phi0
+
+    def give_up(reason):
+        if math.isfinite(phi_last):
+            raise LineSearchError(reason)
+        raise NumericalBreakdownError(f"{reason}; the last probe was not finite")
 
     def take(alpha):
-        nonlocal evals
+        nonlocal evals, phi_last
         if evals >= max_iters:
-            raise LineSearchError(f"no acceptable step within {max_iters} evaluations")
+            give_up(f"no acceptable step within {max_iters} evaluations")
         evals += 1
-        phi, dphi = probe.evaluator(alpha)
-        return float(phi), float(dphi)
+        value, slope = phi(alpha)
+        phi_last = float(value)
+        return phi_last, float(slope)
 
-    def sufficient(alpha, phi):
-        return phi <= phi0 + c1 * alpha * dphi0
+    def sufficient(alpha, value):
+        return value <= phi0 + c1 * alpha * dphi0
 
     def zoom(a_lo, phi_lo, dphi_lo, a_hi, phi_hi, dphi_hi):
         # Invariant: a_lo has the least phi among sufficient-decrease points
@@ -103,9 +93,9 @@ def strong_wolfe_search(
             lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
             width = hi - lo
             if hi < ALPHA_MIN:
-                raise LineSearchError("bracket collapsed below alpha_min")
+                give_up("bracket collapsed below alpha_min")
             if width <= 1e-12 * max(1.0, hi):
-                raise LineSearchError("bracket width vanished without an acceptable step")
+                give_up("bracket width vanished without an acceptable step")
             a_j = _cubic_minimizer(a_lo, phi_lo, dphi_lo, a_hi, phi_hi, dphi_hi)
             margin = 0.1 * width
             if a_j is None or not (lo + margin <= a_j <= hi - margin):
@@ -121,11 +111,11 @@ def strong_wolfe_search(
                 a_lo, phi_lo, dphi_lo = a_j, phi_j, dphi_j
 
     a_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
-    alpha = float(alpha_init)
+    alpha = 1.0
     first = True
     while True:
         if alpha > ALPHA_MAX:
-            raise LineSearchError("trial step exceeded alpha_max")
+            give_up("trial step exceeded alpha_max")
         phi_a, dphi_a = take(alpha)
         if not sufficient(alpha, phi_a) or (not first and phi_a >= phi_prev):
             return zoom(a_prev, phi_prev, dphi_prev, alpha, phi_a, dphi_a)

@@ -36,7 +36,7 @@ from .core import (
     scaled_gradient_norm,
 )
 from .curvature import PairHistory, gamma_scale, two_loop_direction
-from .linesearch import LineProbe, strong_wolfe_search
+from .linesearch import strong_wolfe_search
 from .step_control import acceptance_ratio, model_reduction, nonmonotone_reference
 
 
@@ -169,35 +169,23 @@ def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0):
     """Strong Wolfe search from ``x0`` along ``d``, first trying the unit step.
 
     Returns ``(alpha, x, f, g)`` at the accepted point, reusing the probe
-    that evaluated it. A probe whose evaluation breaks down just fails
-    sufficient decrease. Raises :class:`LineSearchError` when no step is
-    found, or :class:`NumericalBreakdownError` when the search gave up right
-    after a probe that broke down.
+    that evaluated it. A probe whose evaluation breaks down has value inf,
+    so it fails sufficient decrease. Raises what the search raises when no
+    step is found.
     """
     probed = []
-    broke = False
 
     def along(alpha: float):
-        nonlocal broke
         x_t = x0 + alpha * d
         try:
             f_t, g_t = evaluate(objective, x_t, counters, "both")
         except NumericalBreakdownError:
-            broke = True
             return math.inf, 0.0
-        broke = False
         probed[:] = (x_t, g_t)
         return f_t, float(d.dot(g_t))
 
-    try:
-        alpha, f, _ = strong_wolfe_search(
-            LineProbe(phi0=f0, dphi0=dphi0, evaluator=along),
-            config.c1, config.c2, 1.0, config.max_ls_iters,
-        )
-    except LineSearchError as exc:
-        if broke:
-            raise NumericalBreakdownError(f"{exc}; the last probe was not finite") from exc
-        raise
+    alpha, f, _ = strong_wolfe_search(along, f0, dphi0, config.c1, config.c2,
+                                      config.max_ls_iters)
     # The search only accepts the point of its last probe, and a probe that
     # broke down (phi = inf) never passes sufficient decrease.
     x, g = probed
@@ -340,7 +328,7 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
              mu, mu_next, ratio, f_unit) = take_step(state, objective, config, counters)
             # A dropped pair leaves the newest pair, and so the scale, as it was.
             if state.history.push(s, g - state.g):
-                state.gamma = gamma_scale(state.history.newest, config.alpha_floor)
+                state.gamma = gamma_scale(state.history.newest)
             state.fwindow.append(f)
             if trace is not None:
                 trace.append(TraceRecord(

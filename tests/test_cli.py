@@ -9,7 +9,8 @@ import pytest
 import regulus.cli
 from regulus.cli import main
 from regulus.harness import read_records
-from regulus.solvers import SOLVERS
+from regulus.core import SolverConfig
+from regulus.solvers import SOLVERS, solve_rlbfgs
 
 
 def _no_solve(*args, **kwargs):
@@ -60,8 +61,10 @@ def test_solve_bad_param_is_usage_error(capsys):
     ["trigonometric:0"],
     ["beale@0"],
     ["beale@nan"],
+    ["beale", "-p", "mu_max=inf"],
+    ["beale", "-p", "alpha_floor=1e-8"],
 ], ids=["m-inf", "max_fevals-overflow", "m-huge", "M-huge", "dimension-zero",
-        "scale-zero", "scale-nan"])
+        "scale-zero", "scale-nan", "mu_max-inf", "alpha_floor-gone"])
 def test_solve_out_of_range_input_is_usage_error(argv, monkeypatch, capsys):
     # Non-finite or oversized integers and empty problems are usage errors,
     # not an OverflowError or ZeroDivisionError traceback or an empty solve.
@@ -104,6 +107,28 @@ def test_solve_with_config_file(tmp_path, capsys):
         "solve", "rosenbrock:2", "--config", str(config), "-p", "max_fevals=10000",
     ])
     assert code == 0
+
+
+def test_config_file_and_params_are_validated_once_merged(tmp_path, monkeypatch, capsys):
+    # The file alone (mu_min above the default mu0) and the overrides alone
+    # are invalid; merged, they make a valid config, the same as passing
+    # every entry by -p. A file that is valid alone can merge into an
+    # invalid config.
+    configs = []
+
+    def capture(objective, x0, config, trace=None):
+        configs.append(config)
+        return solve_rlbfgs(objective, x0, config, trace)
+
+    monkeypatch.setitem(SOLVERS, "rlbfgs", capture)
+    config = tmp_path / "solver.cfg"
+    config.write_text("mu_min = 2\n")
+    assert main(["solve", "beale", "--config", str(config), "-p", "mu0=3"]) == 0
+    assert main(["solve", "beale", "-p", "mu_min=2", "-p", "mu0=3"]) == 0
+    assert configs[0] == configs[1] == SolverConfig(mu_min=2.0, mu0=3.0)
+    config.write_text("mu0 = 3\n")
+    assert main(["solve", "beale", "--config", str(config), "-p", "mu_min=4"]) == 2
+    assert len(configs) == 2
 
 
 def test_bench_profile_pipeline(tmp_path, capsys):

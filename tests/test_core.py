@@ -51,7 +51,7 @@ def test_defaults_match_documented_values():
         {"c2": 1.0},
         {"grad_tol": 0.0},
         {"max_fevals": 0},
-        {"alpha_floor": 0.0},
+        {"mu_max": math.inf},
         {"max_ls_iters": 0},
     ],
 )

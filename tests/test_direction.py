@@ -52,23 +52,23 @@ def _outcome(fn, *args):
 
 def test_gamma_from_last_pair():
     pair = CurvaturePair.from_vectors([1.0, 0.0], [2.0, 0.0])
-    assert gamma_scale(pair, 1e-8) == 0.5
+    assert gamma_scale(pair) == 0.5
 
 
 def test_gamma_default_without_pair():
-    assert gamma_scale(None, 1e-8) == 1.0
+    assert gamma_scale(None) == 1.0
 
 
 def test_gamma_fallback_branch():
     pair = CurvaturePair.from_vectors([1.0, 0.0], [0.0, 1.0])  # s'y = 0
-    assert gamma_scale(pair, 1e-8) == 1e-8
+    assert gamma_scale(pair) == 1e-8
 
 
 def test_gamma_zero_y_signals():
     hist = PairHistory(1)
     hist.push([1.0], [0.0])
     with pytest.raises(NumericalBreakdownError):
-        gamma_scale(hist.newest, 1e-8)
+        gamma_scale(hist.newest)
 
 
 def test_gamma_always_positive(rng):
@@ -79,7 +79,7 @@ def test_gamma_always_positive(rng):
         pair = CurvaturePair.from_vectors(s, y)
         if pair.ss == 0.0 or pair.yy == 0.0:
             continue
-        assert gamma_scale(pair, 1e-8) > 0.0
+        assert gamma_scale(pair) > 0.0
 
 
 def test_initial_diag_values():
@@ -105,7 +105,7 @@ def test_empty_history_is_scaled_steepest_descent():
 def test_scalar_case_matches_dense_bfgs():
     hist = PairHistory(1)
     hist.push([1.0], [2.0])
-    scaling = gamma_scale(hist.newest, 1e-8)
+    scaling = gamma_scale(hist.newest)
     assert scaling == 0.5
     d0 = two_loop_direction(hist, np.array([1.0]), 0.0, scaling)
     assert d0[0] == pytest.approx(-0.5, abs=1e-15)
@@ -131,7 +131,7 @@ def test_two_loop_matches_oracle(rng):
     for _ in range(200):
         n = int(rng.integers(1, 9))
         hist = random_history(rng, n, int(rng.integers(0, 5)))
-        scaling = gamma_scale(hist.newest, 1e-8)
+        scaling = gamma_scale(hist.newest)
         g = rng.standard_normal(n)
         for mu in (0.0, 1e-3, 1.0, 1e3):
             d = two_loop_direction(hist, g, mu, scaling)
@@ -146,7 +146,7 @@ def test_descent_direction(rng):
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         hist = random_history(rng, n, int(rng.integers(0, 5)))
-        scaling = gamma_scale(hist.newest, 1e-8)
+        scaling = gamma_scale(hist.newest)
         g = rng.standard_normal(n)
         while not np.any(g):
             g = rng.standard_normal(n)
@@ -173,7 +173,7 @@ def test_direction_shrinks_as_mu_grows(rng):
     for _ in range(50):
         n = int(rng.integers(2, 9))
         hist = random_history(rng, n, int(rng.integers(1, 5)))
-        scaling = gamma_scale(hist.newest, 1e-8)
+        scaling = gamma_scale(hist.newest)
         g = rng.standard_normal(n)
         d3 = two_loop_direction(hist, g, 1e3, scaling)
         d6 = two_loop_direction(hist, g, 1e6, scaling)
@@ -187,7 +187,7 @@ def test_oracle_trace_growth_and_determinant(rng):
     for _ in range(25):
         n = int(rng.integers(2, 9))
         hist = random_history(rng, n, int(rng.integers(1, 5)))
-        scaling = gamma_scale(hist.newest, 1e-8)
+        scaling = gamma_scale(hist.newest)
         traces = []
         for mu in mus:
             b = dense_bfgs_oracle(hist, mu, scaling, n)
@@ -217,7 +217,7 @@ def test_two_loop_scales_to_large_n(rng):
     for _ in range(5):
         s = rng.standard_normal(n)
         hist.push(s, 2.0 * s + 0.1 * rng.standard_normal(n))
-    scaling = gamma_scale(hist.newest, 1e-8)
+    scaling = gamma_scale(hist.newest)
     g = rng.standard_normal(n)
     d = two_loop_direction(hist, g, 1.0, scaling)
     assert d.shape == (n,)
@@ -245,7 +245,7 @@ def test_two_loop_bitwise_matches_reference_over_call_sequences(rng):
             elif action == 3:
                 hist.push(*mixed_sign_pair(rng, n))
             seen.append(mu)
-            scaling = gamma_scale(hist.newest, 1e-8)
+            scaling = gamma_scale(hist.newest)
             g = rng.standard_normal(n)
             d = _outcome(two_loop_direction, hist, g, mu, scaling)
             expected = _outcome(reference_two_loop, hist, g, mu, scaling)
@@ -260,7 +260,7 @@ def test_two_loop_bitwise_matches_reference_over_call_sequences(rng):
 def test_two_loop_result_is_not_aliased(rng):
     n = 50
     hist = random_history(rng, n, 5, capacity=3)
-    scaling = gamma_scale(hist.newest, 1e-8)
+    scaling = gamma_scale(hist.newest)
     g = rng.standard_normal(n)
     g_before = g.copy()
     d1 = two_loop_direction(hist, g, 0.5, scaling)

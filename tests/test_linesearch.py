@@ -3,20 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from regulus.core import LineSearchError
-from regulus.linesearch import ALPHA_MAX, LineProbe, strong_wolfe_search
+from regulus.core import LineSearchError, NumericalBreakdownError
+from regulus.linesearch import ALPHA_MAX, strong_wolfe_search
 
 C1, C2 = 1e-4, 0.9
 
 
 def probe_from_scalar(phi, dphi):
+    """``(evaluator, phi0, dphi0)``, the leading arguments of the search, and
+    the list of trial steps the evaluator records."""
     calls = []
 
     def evaluator(alpha):
         calls.append(alpha)
         return phi(alpha), dphi(alpha)
 
-    return LineProbe(phi0=phi(0.0), dphi0=dphi(0.0), evaluator=evaluator), calls
+    return (evaluator, phi(0.0), dphi(0.0)), calls
 
 
 def wolfe_ok(phi, dphi, alpha, c1=C1, c2=C2):
@@ -29,7 +31,7 @@ def test_unit_step_accepted_on_shifted_parabola():
     phi = lambda a: (a - 1.0) ** 2 - 1.0
     dphi = lambda a: 2.0 * (a - 1.0)
     probe, calls = probe_from_scalar(phi, dphi)
-    alpha, phi_a, dphi_a = strong_wolfe_search(probe, C1, C2, 1.0, 20)
+    alpha, phi_a, dphi_a = strong_wolfe_search(*probe, C1, C2, 20)
     assert alpha == 1.0
     assert phi_a == -1.0
     assert dphi_a == 0.0
@@ -40,7 +42,7 @@ def test_exact_quadratic_minimizer():
     phi = lambda a: 0.5 * a * a - a
     dphi = lambda a: a - 1.0
     probe, _ = probe_from_scalar(phi, dphi)
-    alpha, _, dphi_a = strong_wolfe_search(probe, C1, C2, 1.0, 20)
+    alpha, _, dphi_a = strong_wolfe_search(*probe, C1, C2, 20)
     assert alpha == 1.0
     assert dphi_a == 0.0
 
@@ -50,7 +52,7 @@ def test_step_may_exceed_one():
     phi = lambda a: 0.5 * (a - 40.0) ** 2
     dphi = lambda a: a - 40.0
     probe, _ = probe_from_scalar(phi, dphi)
-    alpha, _, _ = strong_wolfe_search(probe, C1, C2, 1.0, 40)
+    alpha, _, _ = strong_wolfe_search(*probe, C1, C2, 40)
     assert alpha > 1.0
     assert wolfe_ok(phi, dphi, alpha)
 
@@ -60,16 +62,16 @@ def test_tiny_step_found_by_zoom():
     phi = lambda a: 1e4 * a * a - a
     dphi = lambda a: 2e4 * a - 1.0
     probe, _ = probe_from_scalar(phi, dphi)
-    alpha, _, _ = strong_wolfe_search(probe, C1, C2, 1.0, 30)
+    alpha, _, _ = strong_wolfe_search(*probe, C1, C2, 30)
     assert 0.0 < alpha < 1e-3
     assert wolfe_ok(phi, dphi, alpha)
 
 
 def test_descent_precondition_enforced():
     with pytest.raises(ValueError):
-        LineProbe(phi0=0.0, dphi0=0.0, evaluator=lambda a: (0.0, 0.0))
+        strong_wolfe_search(lambda a: (0.0, 0.0), 0.0, 0.0, C1, C2, 20)
     with pytest.raises(ValueError):
-        LineProbe(phi0=0.0, dphi0=1.0, evaluator=lambda a: (0.0, 0.0))
+        strong_wolfe_search(lambda a: (0.0, 0.0), 0.0, 1.0, C1, C2, 20)
 
 
 def test_unbounded_descent_fails_at_budget():
@@ -77,7 +79,7 @@ def test_unbounded_descent_fails_at_budget():
     dphi = lambda a: -1.0
     probe, calls = probe_from_scalar(phi, dphi)
     with pytest.raises(LineSearchError):
-        strong_wolfe_search(probe, C1, C2, 1.0, 20)
+        strong_wolfe_search(*probe, C1, C2, 20)
     assert len(calls) == 20
 
 
@@ -86,22 +88,20 @@ def test_alpha_max_guard():
     dphi = lambda a: -1.0
     probe, _ = probe_from_scalar(phi, dphi)
     with pytest.raises(LineSearchError, match="alpha_max"):
-        strong_wolfe_search(probe, C1, C2, 1.0, 200)
+        strong_wolfe_search(*probe, C1, C2, 200)
 
 
 def test_invalid_constants_rejected():
     probe, _ = probe_from_scalar(lambda a: -a, lambda a: -1.0)
     with pytest.raises(ValueError):
-        strong_wolfe_search(probe, 0.5, 0.4, 1.0, 20)
-    with pytest.raises(ValueError):
-        strong_wolfe_search(probe, C1, C2, 0.0, 20)
+        strong_wolfe_search(*probe, 0.5, 0.4, 20)
 
 
 def test_evaluation_accounting():
     phi = lambda a: (a - 3.0) ** 2
     dphi = lambda a: 2.0 * (a - 3.0)
     probe, calls = probe_from_scalar(phi, dphi)
-    alpha, _, _ = strong_wolfe_search(probe, C1, C2, 1.0, 25)
+    alpha, _, _ = strong_wolfe_search(*probe, C1, C2, 25)
     assert wolfe_ok(phi, dphi, alpha)
     assert 1 <= len(calls) <= 25
     # the returned step is the point evaluated last
@@ -133,7 +133,7 @@ def test_random_profiles_postconditions(rng):
     for _ in range(100):
         phi, dphi = random_profile(rng)
         probe, calls = probe_from_scalar(phi, dphi)
-        alpha, phi_a, dphi_a = strong_wolfe_search(probe, C1, C2, 1.0, 20)
+        alpha, phi_a, dphi_a = strong_wolfe_search(*probe, C1, C2, 20)
         assert wolfe_ok(phi, dphi, alpha)
         assert phi_a == phi(alpha)
         assert dphi_a == dphi(alpha)
@@ -147,7 +147,7 @@ def test_zoom_trial_points_nested(rng):
         phi, dphi = random_profile(rng)
         probe, calls = probe_from_scalar(phi, dphi)
         try:
-            strong_wolfe_search(probe, C1, C2, 1.0, 20)
+            strong_wolfe_search(*probe, C1, C2, 20)
         except LineSearchError:
             continue
         # find where bracketing ended: the first non-monotone trial step
@@ -164,3 +164,19 @@ def test_zoom_trial_points_nested(rng):
         lo, hi = min(lo, hi), max(lo, hi)
         for a in calls[zoom_start:]:
             assert lo <= a <= hi
+
+
+def test_giving_up_after_a_non_finite_probe_is_a_breakdown():
+    # phi is finite only in (0, 0.3]: the probes go 1 (inf), 0.5 (inf), 0.25.
+    phi = lambda a: -a if a <= 0.3 else math.inf
+    dphi = lambda a: -1.0
+    probe, calls = probe_from_scalar(phi, dphi)
+    with pytest.raises(NumericalBreakdownError, match="last probe was not finite"):
+        strong_wolfe_search(*probe, C1, C2, 2)
+    assert calls == [1.0, 0.5]
+    # Giving up right after a finite probe stays a line-search failure.
+    probe, calls = probe_from_scalar(phi, dphi)
+    with pytest.raises(LineSearchError) as info:
+        strong_wolfe_search(*probe, C1, C2, 3)
+    assert type(info.value) is LineSearchError
+    assert calls == [1.0, 0.5, 0.25]

@@ -130,6 +130,7 @@ def _satisfies_invariants(c: SolverConfig) -> bool:
                for f in dataclasses.fields(c) if f.type in (int, "int"))
     return ints and (
         0.0 < c.mu_min <= c.mu0 <= c.mu_max
+        and math.isfinite(c.mu_max)
         and 0.0 < c.gamma1 <= 1.0 < c.gamma2
         and 0.0 < c.eta1 < c.eta2 <= 1.0
         and 1 <= c.m <= sys.maxsize
@@ -137,7 +138,6 @@ def _satisfies_invariants(c: SolverConfig) -> bool:
         and 0.0 < c.c1 < c.c2 < 1.0
         and c.grad_tol > 0.0
         and c.max_fevals >= 1
-        and c.alpha_floor > 0.0
         and c.max_ls_iters >= 1
     )
 

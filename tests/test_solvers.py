@@ -121,6 +121,19 @@ def test_accept_step_breakdown_when_every_trial_is_nonfinite():
         accept_step_rlbfgs(state, config, objective, counters)
 
 
+def test_mu_max_must_be_finite():
+    # With a gradient tolerance no run reaches, mu escalates on engval1:100
+    # until it passes its cap at n_f = 337. An infinite cap could never be
+    # passed: mu ran to inf and the run ended NumericalBreakdown at n_f = 338.
+    with pytest.raises(ValueError, match="mu_max must be finite"):
+        SolverConfig(mu_max=math.inf)
+    problem = get_problem("engval1:100")
+    config = SolverConfig(grad_tol=1e-300, mu_max=1e300)
+    report = solve_rlbfgs(problem.objective, problem.x0, config)
+    assert report.status is Status.REGULARIZATION_OVERFLOW
+    assert report.counters.n_f == 337
+
+
 def test_accept_step_budget_exhaustion_mid_loop():
     def value(x):
         return 1.0 if float(x[0]) == 0.0 else 2.0  # every trial is worse
@@ -296,9 +309,17 @@ def test_lbfgs_tries_the_unit_step_once_a_pair_is_stored(monkeypatch):
 
     first_trials = []
 
-    def recording_search(probe, c1, c2, alpha_init, max_iters):
-        first_trials.append(alpha_init)
-        return strong_wolfe_search(probe, c1, c2, alpha_init, max_iters)
+    def recording_search(phi, *args):
+        trials = []
+
+        def recording_phi(alpha):
+            trials.append(alpha)
+            return phi(alpha)
+
+        try:
+            return strong_wolfe_search(recording_phi, *args)
+        finally:
+            first_trials.append(trials[0])
 
     monkeypatch.setattr(solvers_mod, "strong_wolfe_search", recording_search)
     problem = get_problem("rosenbrock:2")

@@ -35,7 +35,7 @@ def test_model_reduction_equals_quadratic_form(rng):
     for _ in range(50):
         n = int(rng.integers(1, 9))
         hist = random_history(rng, n, int(rng.integers(0, 5)))
-        scaling = gamma_scale(hist.newest, 1e-8)
+        scaling = gamma_scale(hist.newest)
         g = rng.standard_normal(n)
         mu = float(rng.choice([0.0, 1e-3, 1.0, 1e3]))
         d = two_loop_direction(hist, g, mu, scaling)
