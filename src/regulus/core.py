@@ -50,7 +50,8 @@ class EvalBudgetExceededError(SolverError):
 
 
 class RegularizationOverflowError(SolverError):
-    """The regularization parameter escalated past its safeguard bound."""
+    """The regularization parameter escalated past its safeguard bound, or
+    until the step it gave vanished."""
 
     status = Status.REGULARIZATION_OVERFLOW
 

@@ -6,8 +6,6 @@ regularization shift is applied on the fly, so varying the regularization
 parameter never requires re-storing vectors. The direction never forms a
 matrix: it runs the standard two-loop recursion over the stored window with
 the per-pair shifted curvature and a scaled, regularized initial diagonal.
-A dense brute-force construction of the approximate Hessian is provided as
-a test oracle for small dimensions.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 
 from .core import NumericalBreakdownError, Vector
 
-_ORACLE_MAX_DIM = 64
 # Least curvature s'y/||s||^2 a pair needs for the s'y/||y||^2 scale.
 ALPHA_FLOOR = 1e-8
 
@@ -103,34 +100,38 @@ def shifted_curvature(pair: CurvaturePair, mu: float) -> Tuple[Vector, float]:
     return y_shifted, s_ty
 
 
-def gamma_scale(last_pair: Optional[CurvaturePair]) -> float:
+def initial_scale(g: Vector) -> float:
+    """``min(1, 1/||g||)``, the scale of the initial matrix until the pair
+    store holds a pair, so that the first unit step moves by at most 1 (the
+    first step of Liu & Nocedal 1989). A gradient with ``||g|| <= 1``,
+    including a zero one, keeps the scale 1.
+
+    When ``g'g`` overflows although every entry is finite, the norm is
+    taken on ``g`` scaled by its largest entry, which keeps the scale
+    positive."""
+    gnorm = math.sqrt(g.dot(g))
+    if gnorm <= 1.0:
+        return 1.0
+    if math.isfinite(gnorm):
+        return 1.0 / gnorm
+    scale = float(np.abs(g).max())
+    u = g / scale
+    return 1.0 / scale / math.sqrt(u.dot(u))
+
+
+def gamma_scale(last_pair: CurvaturePair) -> float:
     """Scale ``gamma`` of the initial matrix from the most recent curvature pair.
 
     Uses ``s'y / ||y||^2`` when the pair has enough positive curvature
     (``s'y >= ALPHA_FLOOR * ||s||^2``) and falls back to
     ``ALPHA_FLOOR * ||s||^2 / ||y||^2`` otherwise, so the result is positive
-    for any stored pair whose products neither overflow nor underflow. With
-    no pair yet the scale is 1.
+    for any stored pair whose products neither overflow nor underflow.
     """
-    if last_pair is None:
-        return 1.0
     if last_pair.yy == 0.0:
         raise NumericalBreakdownError("curvature pair has zero gradient difference")
     if last_pair.sy >= ALPHA_FLOOR * last_pair.ss:
         return last_pair.sy / last_pair.yy
     return ALPHA_FLOOR * last_pair.ss / last_pair.yy
-
-
-def initial_diag(gamma: float, mu: float) -> float:
-    """Diagonal of the regularized initial inverse matrix: gamma/(1+gamma*mu).
-
-    Lies in (0, gamma] and decreases strictly in ``mu``.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
-    return gamma / (1.0 + gamma * mu)
 
 
 def two_loop_direction(
@@ -142,9 +143,9 @@ def two_loop_direction(
     """Quasi-Newton direction ``-H(mu) @ gradient`` in O(m*n) time.
 
     ``H(mu)`` is the limited-memory inverse built from the initial diagonal
-    ``gamma / (1 + gamma * mu)`` (see :func:`initial_diag`) and the stored
-    pairs with their shifted curvature, applied oldest to newest. With an
-    empty history this reduces to a scaled steepest-descent step. The result
+    ``gamma / (1 + gamma * mu)`` and the stored pairs with their shifted
+    curvature, applied oldest to newest. With an empty history this reduces
+    to a scaled steepest-descent step. The result
     is a descent direction whenever the gradient is nonzero. Raises
     :class:`NumericalBreakdownError` when a weight is not finite (``s'y``
     shifted to zero, a subnormal or NaN).
@@ -176,31 +177,3 @@ def two_loop_direction(
         beta = tau * float(y_shifted.dot(r))
         r += np.multiply(pair.s, a - beta, out=buf)
     return np.negative(r, out=r)
-
-
-def dense_bfgs_oracle(
-    history: PairHistory,
-    mu: float,
-    gamma: float,
-    n: int,
-) -> Vector:
-    """Explicit n-by-n regularized approximate Hessian, for testing only.
-
-    Applies the direct rank-two update with the shifted pairs oldest to
-    newest, starting from the inverse of the initial diagonal. The product
-    of this matrix with `two_loop_direction`'s output recovers the negated
-    gradient.
-    """
-    if n > _ORACLE_MAX_DIM:
-        raise ValueError(f"dense oracle limited to n <= {_ORACLE_MAX_DIM}")
-    b = np.eye(n) / initial_diag(gamma, mu)
-    for pair in history:
-        y_shifted, s_ty = shifted_curvature(pair, mu)
-        if s_ty <= 0.0:
-            raise NumericalBreakdownError("nonpositive shifted curvature in update")
-        bs = b @ pair.s
-        sbs = float(pair.s.dot(bs))
-        if sbs <= 0.0:
-            raise NumericalBreakdownError("nonpositive quadratic form in update")
-        b = b - np.outer(bs, bs) / sbs + np.outer(y_shifted, y_shifted) / s_ty
-    return b

@@ -35,37 +35,28 @@ from .core import (
     evaluate,
     scaled_gradient_norm,
 )
-from .curvature import PairHistory, gamma_scale, two_loop_direction
+from .curvature import PairHistory, gamma_scale, initial_scale, two_loop_direction
 from .linesearch import strong_wolfe_search
 from .step_control import acceptance_ratio, model_reduction, nonmonotone_reference
 
 
 class IterateState:
-    """Mutable per-run state owned by a single solver loop. ``fwindow``
-    holds the last ``M + 1`` accepted objective values, newest last;
-    ``inner`` counts the rejected trial steps of the run so far."""
+    """Mutable per-run state of one solver loop, with ``f`` and ``g`` NaN
+    until evaluated. ``mu`` and ``fwindow`` (the last ``M + 1`` values that
+    regularized steps started from, newest last) belong to
+    :func:`accept_step_rlbfgs`; ``inner`` counts the run's rejected trials."""
 
     __slots__ = ("x", "f", "g", "mu", "history", "gamma", "fwindow", "k", "inner")
 
-    def __init__(
-        self,
-        x: Vector,
-        f: float,
-        g: Vector,
-        mu: float,
-        history: PairHistory,
-        gamma: float,
-        fwindow: deque,
-        k: int = 0,
-    ):
+    def __init__(self, x: Vector, config: SolverConfig):
         self.x = x
-        self.f = f
-        self.g = g
-        self.mu = mu
-        self.history = history
-        self.gamma = gamma
-        self.fwindow = fwindow
-        self.k = k
+        self.f = math.nan
+        self.g = np.full_like(x, math.nan)
+        self.mu = config.mu0
+        self.history = PairHistory(config.m)
+        self.gamma = 1.0
+        self.fwindow = deque(maxlen=config.M + 1)
+        self.k = 0
         self.inner = 0
 
 
@@ -107,26 +98,38 @@ def accept_step_rlbfgs(
     objective: Objective,
     counters: EvalCounter,
 ) -> Tuple[Vector, Vector, float, float, float]:
-    """Inner loop of the regularized solvers.
+    """Inner loop of the regularized solvers, owner of ``state.mu`` and
+    ``state.fwindow``.
 
-    Starting from the current regularization parameter, repeatedly computes
-    the direction, evaluates the trial point, and either accepts (ratio at
-    least ``eta1`` against the nonmonotone reference) or escalates the
-    parameter by ``gamma2`` and retries. Returns ``(x, d, mu, f, ratio)``:
-    the trial point ``x + d`` it accepted, the step, the parameter it was
-    taken at, its value, and its ratio; the rejections are added to
-    ``state.inner``. Non-finite trial values count as rejections. Raises
-    :class:`RegularizationOverflowError` past ``mu_max`` (or
-    :class:`NumericalBreakdownError` when the trial that pushed it there was
-    non-finite) and :class:`EvalBudgetExceededError` when a rejected trial
-    exhausts the evaluation budget, adding nothing to ``state.inner``.
+    Appends ``state.f`` to the window, then, starting from ``state.mu``,
+    repeatedly computes the direction, evaluates the trial point, and either
+    accepts (ratio at least ``eta1`` against the nonmonotone reference) or
+    escalates the parameter by ``gamma2`` and retries. Returns
+    ``(x, d, mu, f, ratio)``: the trial point ``x + d`` it accepted, the
+    step, the parameter it was taken at, its value, and its ratio; then
+    ``state.mu`` is :func:`update_mu` of that parameter and the rejections
+    are added to ``state.inner``. Non-finite trial values count as
+    rejections. Raises :class:`RegularizationOverflowError` past ``mu_max``
+    or once the step vanishes (:class:`NumericalBreakdownError` when the
+    last trial was non-finite), and :class:`EvalBudgetExceededError` when a
+    rejected trial exhausts the budget, changing neither ``state.mu`` nor
+    ``state.inner``.
     """
-    f_ref = nonmonotone_reference(state.fwindow, state.k, config.M)
+    state.fwindow.append(state.f)
+    f_ref = nonmonotone_reference(state.fwindow)
     mu_bar = state.mu
     inner = 0
+    f_trial = state.f  # no trial yet: a first step that vanishes is an overflow
     while True:
         d = two_loop_direction(state.history, state.g, mu_bar, state.gamma)
-        reduction = model_reduction(state.g, d)
+        try:
+            reduction = model_reduction(state.g, d)
+        except NumericalBreakdownError:
+            # A step that vanished under escalation ends like passing the
+            # cap; an ascent direction stays a breakdown.
+            if float(state.g.dot(d)) != 0.0:
+                raise
+            break
         x_trial = state.x + d
         try:
             f_trial = evaluate(objective, x_trial, counters, "value")
@@ -135,6 +138,7 @@ def accept_step_rlbfgs(
         if math.isfinite(f_trial):
             ratio = acceptance_ratio(f_ref, f_trial, reduction)
             if ratio >= config.eta1:
+                state.mu = update_mu(mu_bar, ratio, config)
                 state.inner += inner
                 return x_trial, d, mu_bar, f_trial, ratio
         if counters.n_f > config.max_fevals:
@@ -144,11 +148,10 @@ def accept_step_rlbfgs(
         mu_bar *= config.gamma2
         inner += 1
         if mu_bar > config.mu_max:
-            if not math.isfinite(f_trial):
-                raise NumericalBreakdownError(
-                    f"mu escalated past {config.mu_max:g} on a non-finite trial value"
-                )
-            raise RegularizationOverflowError(f"mu escalated past {config.mu_max:g}")
+            break
+    if not math.isfinite(f_trial):
+        raise NumericalBreakdownError(f"mu escalation to {mu_bar:g} ended on a non-finite trial")
+    raise RegularizationOverflowError(f"mu escalation to {mu_bar:g} found no acceptable step")
 
 
 def update_mu(mu_used: float, ratio: float, config: SolverConfig) -> float:
@@ -233,39 +236,6 @@ def wolfe_extension_step(
     return x_new, f_new, g_new, (1.0 + alpha) * d, alpha, False
 
 
-def _report(status, state, counters, t0, solver_name) -> RunReport:
-    return RunReport(
-        status=status,
-        iterations=state.k,
-        inner_iterations=state.inner,
-        counters=counters,
-        final_f=state.f,
-        final_residual=scaled_gradient_norm(state.g, state.x),
-        wall_time=time.perf_counter() - t0,
-        solver_name=solver_name,
-        x=state.x,
-    )
-
-
-def _initial_scale(g: Vector) -> float:
-    """``min(1, 1/||g||)``, the scale of the initial matrix until the pair
-    store holds a pair, so that the first unit step moves by at most 1 (the
-    first step of Liu & Nocedal 1989). A gradient with ``||g|| <= 1``,
-    including a zero one, keeps the scale 1.
-
-    When ``g'g`` overflows although every entry is finite, the norm is
-    taken on ``g`` scaled by its largest entry, which keeps the scale
-    positive."""
-    gnorm = math.sqrt(g.dot(g))
-    if gnorm <= 1.0:
-        return 1.0
-    if math.isfinite(gnorm):
-        return 1.0 / gnorm
-    scale = float(np.abs(g).max())
-    u = g / scale
-    return 1.0 / scale / math.sqrt(u.dot(u))
-
-
 def _line_search_step(state, objective, config, counters):
     """lbfgs: a strong Wolfe search along the ``mu = 0`` direction that
     first tries the unit step."""
@@ -274,34 +244,33 @@ def _line_search_step(state, objective, config, counters):
     if not -math.inf < dphi0 < 0.0:
         raise NumericalBreakdownError(f"not a finite descent direction: d'g = {dphi0!r}")
     alpha, x, f, g = _wolfe_ray(objective, counters, config, state.x, d, state.f, dphi0)
-    return x, f, g, alpha * d, alpha, False, 0.0, state.mu, None, f
+    return x, f, g, alpha * d, alpha, False, 0.0, None, f
 
 
 def _regularized_step(state, objective, config, counters, extend=False):
     """rlbfgs: the regularized unit step that passes the ratio test; with
     ``extend`` (rlbfgs-sw), extended by a Wolfe search at the mu floor."""
     x, d, mu, f, ratio = accept_step_rlbfgs(state, config, objective, counters)
-    mu_next = update_mu(mu, ratio, config)
     # One gradient evaluation per accepted step; it serves the extension
     # trigger, the new curvature pair, and the next iteration alike.
     g = evaluate(objective, x, counters, "gradient")
     if extend:
         return (*wolfe_extension_step(objective, counters, config, x, d, f, g, state.g, mu),
-                mu, mu_next, ratio, f)
-    return x, f, g, d, None, False, mu, mu_next, ratio, f
+                mu, ratio, f)
+    return x, f, g, d, None, False, mu, ratio, f
 
 
 def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
     """The iteration loop of every solver.
 
     ``take_step(state, objective, config, counters)`` chooses the step and
-    returns ``(x, f, g, s, alpha, ls_failed, mu, mu_next, ratio, f_unit)``:
-    the next iterate, the curvature step ``s`` to it, and what the trace
-    records (``alpha`` is None without a search, ``mu`` is the
-    regularization the step was taken at, ``mu_next`` the one the next step
-    starts from, ``f_unit`` the value before any extension). This loop does
-    the rest; any :class:`SolverError` ends the run as a report with that
-    error's status.
+    returns ``(x, f, g, s, alpha, ls_failed, mu, ratio, f_unit)``: the next
+    iterate, the curvature step ``s`` to it, and what the trace records
+    (``alpha`` is None without a search, ``mu`` is the regularization the
+    step was taken at, ``f_unit`` the value before any extension). This loop
+    owns set-up, termination, the pair store and its scale, and the trace;
+    a termination decision and any :class:`SolverError` both end the run in
+    its one report.
     """
     config = config or SolverConfig()
     counters = EvalCounter()
@@ -311,25 +280,18 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
         raise ValueError(f"x0 must be a vector of length {objective.dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    # Until they are evaluated, f(x0) is NaN and the gradient is all NaN, so
-    # a breakdown at x0 reports x0, what was evaluated, and an inf residual.
-    state = IterateState(x, math.nan, np.full_like(x, math.nan), config.mu0,
-                         PairHistory(config.m), 1.0, deque(maxlen=config.M + 1))
+    # A breakdown at x0 reports x0, what was evaluated, and an inf residual.
+    state = IterateState(x, config)
     try:
         state.f = evaluate(objective, x, counters, "value")
-        state.fwindow.append(state.f)
         state.g = evaluate(objective, x, counters, "gradient")
-        state.gamma = _initial_scale(state.g)
-        while True:
-            decision = check_termination(state.g, state.x, counters, config)
-            if decision is not None:
-                return _report(decision, state, counters, t0, solver_name)
-            (x, f, g, s, alpha, ls_failed,
-             mu, mu_next, ratio, f_unit) = take_step(state, objective, config, counters)
+        state.gamma = initial_scale(state.g)
+        while (status := check_termination(state.g, state.x, counters, config)) is None:
+            x, f, g, s, alpha, ls_failed, mu, ratio, f_unit = take_step(
+                state, objective, config, counters)
             # A dropped pair leaves the newest pair, and so the scale, as it was.
             if state.history.push(s, g - state.g):
                 state.gamma = gamma_scale(state.history.newest)
-            state.fwindow.append(f)
             if trace is not None:
                 trace.append(TraceRecord(
                     k=state.k,
@@ -342,10 +304,21 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
                     f_unit=f_unit,
                     ls_failed=ls_failed,
                 ))
-            state.x, state.f, state.g, state.mu = x, f, g, mu_next
+            state.x, state.f, state.g = x, f, g
             state.k += 1
     except SolverError as exc:
-        return _report(exc.status, state, counters, t0, solver_name)
+        status = exc.status
+    return RunReport(
+        status=status,
+        iterations=state.k,
+        inner_iterations=state.inner,
+        counters=counters,
+        final_f=state.f,
+        final_residual=scaled_gradient_norm(state.g, state.x),
+        wall_time=time.perf_counter() - t0,
+        solver_name=solver_name,
+        x=state.x,
+    )
 
 
 def solve_lbfgs(

@@ -31,20 +31,18 @@ def acceptance_ratio(f_ref: float, f_trial: float, model_red: float) -> float:
     return (f_ref - f_trial) / model_red
 
 
-def nonmonotone_reference(window: deque, k: int, M: int) -> float:
-    """Reference objective value for the acceptance ratio at iteration ``k``.
+def nonmonotone_reference(window: deque) -> float:
+    """Reference objective value for the acceptance ratio.
 
-    ``window`` holds the accepted objective values, newest last; only
-    accepted iterates enter it, rejected trial points never do. For
-    ``k < M`` (and always for ``M = 0``) the reference is the current
-    objective value, giving the plain monotone ratio. From iteration ``M``
-    on it is the maximum of the last ``min(k, M) + 1`` accepted values,
-    which permits occasional objective increases (Grippo, Lampariello &
-    Lucidi 1986). It is that maximum only if the window holds exactly those
-    values, as the driver's ``deque(maxlen=M + 1)`` does at iteration ``k``.
+    ``window`` is a ``deque(maxlen=M + 1)`` of the values the regularized
+    steps were taken from, newest last; rejected trial points never enter
+    it. Until it is full the reference is the newest value, giving the plain
+    monotone ratio; once full it is the maximum of the last ``M + 1``
+    values, which permits occasional objective increases (Grippo,
+    Lampariello & Lucidi 1986). With ``M = 0`` the two coincide.
     """
     if len(window) == 0:
         raise ValueError("window is empty")
-    if M == 0 or k < M:
+    if len(window) < window.maxlen:
         return window[-1]
     return max(window)

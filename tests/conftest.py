@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from regulus.core import Objective
-from regulus.curvature import PairHistory
+from regulus.core import NumericalBreakdownError, Objective
+from regulus.curvature import PairHistory, gamma_scale, shifted_curvature
+
+_ORACLE_MAX_DIM = 64
 
 
 class CountingObjective:
@@ -50,6 +52,47 @@ def random_history(rng, n, npairs, capacity=None, min_cos=0.1):
                 break
         hist.push(s, y)
     return hist
+
+
+def scale_of(history):
+    """The initial-matrix scale for ``history``: that of its newest pair, or
+    1.0 for an empty history."""
+    return gamma_scale(history.newest) if len(history) else 1.0
+
+
+def initial_diag(gamma, mu):
+    """Diagonal of the regularized initial inverse matrix: gamma/(1+gamma*mu).
+
+    Lies in (0, gamma] and decreases strictly in ``mu``.
+    """
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    if mu < 0.0:
+        raise ValueError("mu must be nonnegative")
+    return gamma / (1.0 + gamma * mu)
+
+
+def dense_bfgs_oracle(history, mu, gamma, n):
+    """Explicit n-by-n regularized approximate Hessian.
+
+    Applies the direct rank-two update with the shifted pairs oldest to
+    newest, starting from the inverse of the initial diagonal. The product
+    of this matrix with `two_loop_direction`'s output recovers the negated
+    gradient.
+    """
+    if n > _ORACLE_MAX_DIM:
+        raise ValueError(f"dense oracle limited to n <= {_ORACLE_MAX_DIM}")
+    b = np.eye(n) / initial_diag(gamma, mu)
+    for pair in history:
+        y_shifted, s_ty = shifted_curvature(pair, mu)
+        if s_ty <= 0.0:
+            raise NumericalBreakdownError("nonpositive shifted curvature in update")
+        bs = b @ pair.s
+        sbs = float(pair.s.dot(bs))
+        if sbs <= 0.0:
+            raise NumericalBreakdownError("nonpositive quadratic form in update")
+        b = b - np.outer(bs, bs) / sbs + np.outer(y_shifted, y_shifted) / s_ty
+    return b
 
 
 def faulty(objective, target, j, bad, persistent):

@@ -14,7 +14,6 @@ from regulus.core import SolverConfig, Status
 from regulus.curvature import (
     CurvaturePair,
     PairHistory,
-    dense_bfgs_oracle,
     gamma_scale,
     shifted_curvature,
     two_loop_direction,
@@ -25,7 +24,13 @@ from regulus.problems import get_problem, registry
 from regulus.solvers import SOLVERS, solve_rlbfgs, solve_rlbfgs_sw
 from regulus.step_control import acceptance_ratio, model_reduction
 
-from conftest import gradient_check_error, mixed_sign_pair, random_history
+from conftest import (
+    dense_bfgs_oracle,
+    gradient_check_error,
+    mixed_sign_pair,
+    random_history,
+    scale_of,
+)
 
 
 def announce(n, text):
@@ -48,7 +53,7 @@ def test_c01_oracle_equivalence(rng):
     for _ in range(200):
         n = int(rng.integers(1, 9))
         hist = random_history(rng, n, int(rng.integers(0, 5)))
-        scaling = gamma_scale(hist.newest)
+        scaling = scale_of(hist)
         g = rng.standard_normal(n)
         for mu in (0.0, 1e-3, 1.0, 1e3):
             d = two_loop_direction(hist, g, mu, scaling)
@@ -65,7 +70,7 @@ def test_c02_descent_and_curvature_invariants(rng):
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         hist = random_history(rng, n, int(rng.integers(0, 5)))
-        scaling = gamma_scale(hist.newest)
+        scaling = scale_of(hist)
         g = rng.standard_normal(n)
         while not np.any(g):
             g = rng.standard_normal(n)

@@ -7,14 +7,19 @@ from regulus.core import NumericalBreakdownError
 from regulus.curvature import (
     CurvaturePair,
     PairHistory,
-    dense_bfgs_oracle,
     gamma_scale,
-    initial_diag,
+    initial_scale,
     shifted_curvature,
     two_loop_direction,
 )
 
-from conftest import mixed_sign_pair, random_history
+from conftest import (
+    dense_bfgs_oracle,
+    initial_diag,
+    mixed_sign_pair,
+    random_history,
+    scale_of,
+)
 
 
 def reference_two_loop(history, gradient, mu, scaling):
@@ -55,8 +60,14 @@ def test_gamma_from_last_pair():
     assert gamma_scale(pair) == 0.5
 
 
-def test_gamma_default_without_pair():
-    assert gamma_scale(None) == 1.0
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_initial_scale_without_pair():
+    # min(1, 1/||g||): the scale until the store holds a pair
+    assert initial_scale(np.zeros(2)) == 1.0
+    assert initial_scale(np.array([0.6, 0.8])) == 1.0
+    assert initial_scale(np.array([3.0, 4.0])) == 0.2
+    # g'g overflows although every entry is finite
+    assert initial_scale(np.array([1e200, 1e200])) == pytest.approx(2 ** -0.5 * 1e-200)
 
 
 def test_gamma_fallback_branch():
@@ -131,7 +142,7 @@ def test_two_loop_matches_oracle(rng):
     for _ in range(200):
         n = int(rng.integers(1, 9))
         hist = random_history(rng, n, int(rng.integers(0, 5)))
-        scaling = gamma_scale(hist.newest)
+        scaling = scale_of(hist)
         g = rng.standard_normal(n)
         for mu in (0.0, 1e-3, 1.0, 1e3):
             d = two_loop_direction(hist, g, mu, scaling)
@@ -146,7 +157,7 @@ def test_descent_direction(rng):
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         hist = random_history(rng, n, int(rng.integers(0, 5)))
-        scaling = gamma_scale(hist.newest)
+        scaling = scale_of(hist)
         g = rng.standard_normal(n)
         while not np.any(g):
             g = rng.standard_normal(n)
@@ -245,7 +256,7 @@ def test_two_loop_bitwise_matches_reference_over_call_sequences(rng):
             elif action == 3:
                 hist.push(*mixed_sign_pair(rng, n))
             seen.append(mu)
-            scaling = gamma_scale(hist.newest)
+            scaling = scale_of(hist)
             g = rng.standard_normal(n)
             d = _outcome(two_loop_direction, hist, g, mu, scaling)
             expected = _outcome(reference_two_loop, hist, g, mu, scaling)

@@ -1,5 +1,4 @@
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -36,11 +35,8 @@ def fresh_state(objective, x0, config):
     counters.n_f += 1
     g = objective.gradient(x)
     counters.n_g += 1
-    state = IterateState(
-        x=x, f=f, g=np.asarray(g, float), mu=config.mu0,
-        history=PairHistory(config.m), gamma=1.0,
-        fwindow=deque((f,), maxlen=config.M + 1),
-    )
+    state = IterateState(x, config)
+    state.f, state.g = f, np.asarray(g, float)
     return state, counters
 
 
@@ -97,6 +93,19 @@ def test_accept_step_two_trial_script():
     assert counters.n_f == 3  # initial + two trials
 
 
+@pytest.mark.parametrize("diag", [2.0, 3.0])
+def test_accept_step_owns_mu_and_window(diag):
+    # Ratio 1 on the exact quadratic shrinks mu; ratio 0.5 on a stiffer one
+    # keeps it.
+    objective = quadratic_objective(diag * np.ones(2))
+    config = SolverConfig()
+    state, counters = fresh_state(objective, [3.0, 4.0], config)
+    f_before = state.f
+    x, d, mu, f, ratio = accept_step_rlbfgs(state, config, objective, counters)
+    assert state.mu == update_mu(mu, ratio, config)
+    assert state.fwindow[-1] == f_before
+
+
 def test_accept_step_overflow_on_hostile_objective():
     def value(x):
         return 1.0 if float(x[0]) == 0.0 else 2.0  # every trial is worse
@@ -121,17 +130,65 @@ def test_accept_step_breakdown_when_every_trial_is_nonfinite():
         accept_step_rlbfgs(state, config, objective, counters)
 
 
+def test_accept_step_vanishing_step_is_an_overflow():
+    # g'd = 1e-320/(1 + mu) underflows to zero at mu = 1e4, far below
+    # mu_max: escalation cannot go on, as if past the cap.
+    def value(x):
+        return 1.0 if float(x[0]) == 0.0 else 2.0  # every trial is worse
+
+    objective = Objective(dim=1, value=value, gradient=lambda x: np.array([1e-160]))
+    config = SolverConfig()
+    state, counters = fresh_state(objective, [0.0], config)
+    with pytest.raises(RegularizationOverflowError):
+        accept_step_rlbfgs(state, config, objective, counters)
+    assert counters.n_f == 5  # initial + trials at mu = 1, 10, 100, 1000
+    assert state.mu == config.mu0
+
+
+def test_accept_step_vanishing_step_after_nonfinite_trial_is_a_breakdown():
+    def value(x):
+        return 1.0 if float(x[0]) == 0.0 else math.inf
+
+    objective = Objective(dim=1, value=value, gradient=lambda x: np.array([1e-160]))
+    config = SolverConfig()
+    state, counters = fresh_state(objective, [0.0], config)
+    with pytest.raises(NumericalBreakdownError, match="non-finite trial"):
+        accept_step_rlbfgs(state, config, objective, counters)
+
+
+def test_accept_step_ascent_direction_stays_a_breakdown():
+    # The two-loop gives no ascent direction for a positive scale, so a
+    # negative one forces it.
+    objective = quadratic_objective(np.ones(1))
+    config = SolverConfig()
+    state, counters = fresh_state(objective, [1.0], config)
+    state.gamma = -0.5
+    with pytest.raises(NumericalBreakdownError, match="no reduction"):
+        accept_step_rlbfgs(state, config, objective, counters)
+
+
 def test_mu_max_must_be_finite():
-    # With a gradient tolerance no run reaches, mu escalates on engval1:100
-    # until it passes its cap at n_f = 337. An infinite cap could never be
-    # passed: mu ran to inf and the run ended NumericalBreakdown at n_f = 338.
+    # An infinite cap could never be passed: mu would run to inf.
     with pytest.raises(ValueError, match="mu_max must be finite"):
         SolverConfig(mu_max=math.inf)
+
+
+@pytest.mark.parametrize("solve", [solve_rlbfgs, solve_rlbfgs_sw])
+@pytest.mark.parametrize("mu_max, n_f", [
+    (1e300, 337),
+    # mu reaches about 1e301, where g'd underflows to -0.0 before the cap:
+    # the vanished step ends the run as the cap would.
+    (1e305, 338),
+    (1.7976931348623157e308, 338),
+])
+def test_mu_escalation_ends_in_overflow(solve, mu_max, n_f):
+    # With a gradient tolerance no run reaches, mu escalates on engval1:100
+    # until it can go no further.
     problem = get_problem("engval1:100")
-    config = SolverConfig(grad_tol=1e-300, mu_max=1e300)
-    report = solve_rlbfgs(problem.objective, problem.x0, config)
+    config = SolverConfig(grad_tol=1e-300, mu_max=mu_max)
+    report = solve(problem.objective, problem.x0, config)
     assert report.status is Status.REGULARIZATION_OVERFLOW
-    assert report.counters.n_f == 337
+    assert report.counters.n_f == n_f
 
 
 def test_accept_step_budget_exhaustion_mid_loop():
@@ -144,7 +201,9 @@ def test_accept_step_budget_exhaustion_mid_loop():
     with pytest.raises(EvalBudgetExceededError):
         accept_step_rlbfgs(state, config, objective, counters)
     assert counters.n_f == 4
-    assert state.inner == 0  # a step that raises adds no rejections
+    # a step that raises adds no rejections and leaves mu as it was
+    assert state.inner == 0
+    assert state.mu == config.mu0
 
 
 # --- the Wolfe step extension ----------------------------------------------

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from regulus.core import NumericalBreakdownError
-from regulus.curvature import gamma_scale, dense_bfgs_oracle, two_loop_direction
+from regulus.curvature import two_loop_direction
 from regulus.step_control import (
     acceptance_ratio,
     model_reduction,
     nonmonotone_reference,
 )
 
-from conftest import random_history
+from conftest import dense_bfgs_oracle, random_history, scale_of
 
 
 def test_model_reduction_values():
@@ -35,7 +35,7 @@ def test_model_reduction_equals_quadratic_form(rng):
     for _ in range(50):
         n = int(rng.integers(1, 9))
         hist = random_history(rng, n, int(rng.integers(0, 5)))
-        scaling = gamma_scale(hist.newest)
+        scaling = scale_of(hist)
         g = rng.standard_normal(n)
         mu = float(rng.choice([0.0, 1e-3, 1.0, 1e3]))
         d = two_loop_direction(hist, g, mu, scaling)
@@ -58,18 +58,18 @@ def test_acceptance_ratio_requires_positive_reduction():
 
 def test_reference_monotone_case():
     window = deque((3.0, 1.0, 2.0), maxlen=1)
-    assert nonmonotone_reference(window, 2, 0) == 2.0
+    assert nonmonotone_reference(window) == 2.0
 
 
 def test_reference_window_max():
-    window = deque((3.0, 1.0, 2.0), maxlen=11)
-    assert nonmonotone_reference(window, 12, 10) == 3.0
+    window = deque((3.0, 1.0, 2.0), maxlen=3)
+    assert nonmonotone_reference(window) == 3.0
 
 
 def test_reference_original_ratio_before_window_fills():
     window = deque((9.0, 4.0, 7.0, 1.0, 2.0, 0.5), maxlen=11)
-    # k < M keeps the plain monotone reference
-    assert nonmonotone_reference(window, 5, 10) == 0.5
+    # a window not yet full keeps the plain monotone reference
+    assert nonmonotone_reference(window) == 0.5
 
 
 def test_reference_never_below_current(rng):
@@ -78,16 +78,15 @@ def test_reference_never_below_current(rng):
         window = deque(maxlen=M + 1)
         for k, value in enumerate(values):
             window.append(value)
-            ref = nonmonotone_reference(window, k, M)
+            ref = nonmonotone_reference(window)
             assert ref >= window[-1]
-            assert nonmonotone_reference(window, k, 0) == window[-1]
-            # Grippo, Lampariello & Lucidi: the max of the last min(k, M) + 1
-            # values of the full history, once the window has filled
+            # Grippo, Lampariello & Lucidi: the current value for k < M,
+            # then the max of the last M + 1 values of the full history
             history = values[:k + 1]
-            expected = history[-1] if M == 0 or k < M else max(history[-(min(k, M) + 1):])
+            expected = history[-1] if M == 0 or k < M else max(history[-(M + 1):])
             assert ref.hex() == expected.hex()
 
 
 def test_reference_requires_values():
     with pytest.raises(ValueError):
-        nonmonotone_reference(deque(maxlen=4), 0, 3)
+        nonmonotone_reference(deque(maxlen=4))
