@@ -24,6 +24,8 @@ from .problems import get_problem, registry
 from .solvers import SOLVERS
 
 USAGE_ERROR = 2
+# A failed write of the output (EX_IOERR in sysexits.h).
+IO_ERROR = 74
 # What a shell reports for a process killed by SIGPIPE (128 + 13).
 BROKEN_PIPE = 141
 
@@ -58,7 +60,7 @@ def cmd_solve(args) -> int:
         problem = get_problem(args.problem)
         # Opened before the solve so that a bad path fails fast.
         trace_file = open(args.trace, "w") if args.trace else contextlib.nullcontext()
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, MemoryError, OSError) as exc:
         return _usage_error(args, exc)
     trace = [] if args.trace else None
     with trace_file:
@@ -81,7 +83,7 @@ def cmd_bench(args) -> int:
                 raise ValueError(f"unknown solver: {solver!r}")
         # Opened before the batch so that a bad path fails fast.
         out = open(args.out, "w", newline="")
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, MemoryError, OSError) as exc:
         return _usage_error(args, exc)
     with out:
         records = run_batch(problems, solvers, config)
@@ -156,11 +158,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe early (`regulus solve ... | head -1`).
-        # Point stdout at devnull so that the flush at exit cannot fail again.
+    except OSError as exc:
+        # The reader closed the pipe early (`regulus solve ... | head -1`),
+        # or a write failed (a full disk). Point stdout at devnull so that
+        # the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return BROKEN_PIPE
+        print(f"error: {exc}", file=sys.stderr)
+        return IO_ERROR
     return code
 
 

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, Literal, Mapping, NamedTuple, Optional, Union, get_type_hints
+from typing import Callable, Dict, Literal, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -98,7 +98,9 @@ class SolverConfig:
     ``gamma2`` shrink/grow it, ``eta1``/``eta2`` are the ratio-test
     thresholds, ``m`` is the curvature memory, ``M`` the nonmonotone window
     and ``c1``/``c2`` the Wolfe constants. ``mu_max``, which must be finite,
-    is the cap past which mu escalation ends the run.
+    is the cap past which mu escalation ends the run. A field annotated
+    ``int`` takes any integral value (``1e4``, ``5.0``, ``np.int64(5)``) and
+    stores it as an ``int``.
     """
 
     mu0: float = 1.0
@@ -117,6 +119,16 @@ class SolverConfig:
     max_ls_iters: int = 20
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in (int, "int"):
+                value = getattr(self, f.name)
+                try:
+                    integral = int(value) == value
+                except (TypeError, ValueError, OverflowError):
+                    integral = False
+                if not integral:
+                    raise ValueError(f"config key {f.name!r} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
         # Each check is written so that a NaN fails it.
         if not 0.0 < self.mu_min <= self.mu0:
             raise ValueError("requires 0 < mu_min <= mu0")
@@ -142,25 +154,18 @@ class SolverConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Union[str, int, float]]) -> "SolverConfig":
-        """Build a config from a flat mapping; unknown keys are rejected.
-
-        A field annotated ``int`` takes only finite integral values. Every
-        bad value, an integer too large for a float included, raises
-        ``ValueError``."""
-        types = get_type_hints(cls)
+        """Build a config from a flat mapping of numbers or their strings;
+        unknown keys are rejected. Every bad value, an integer too large for
+        a float included, raises ``ValueError``."""
+        known = {f.name for f in fields(cls)}
         kwargs = {}
         for key, raw in data.items():
-            if key not in types:
+            if key not in known:
                 raise ValueError(f"unknown config key: {key!r}")
             try:
-                value = float(raw)
+                kwargs[key] = float(raw)
             except OverflowError:
                 raise ValueError(f"config key {key!r} is out of range") from None
-            if types[key] is int:
-                if not value.is_integer():
-                    raise ValueError(f"config key {key!r} must be an integer")
-                value = int(value)
-            kwargs[key] = value
         return cls(**kwargs)
 
     @classmethod

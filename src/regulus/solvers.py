@@ -4,7 +4,7 @@ opportunistic Wolfe step extension.
 
 All three run through one iteration driver (`_run`) and differ only in the
 step policy that chooses each step. They share the curvature store, two-loop
-direction, step control, and one Wolfe search along a ray; the baseline is
+direction, the ratio test, and one Wolfe search along a ray; the baseline is
 exactly the regularized direction code at ``mu = 0``, so comparisons isolate
 the regularization itself.
 """
@@ -37,18 +37,22 @@ from .core import (
 )
 from .curvature import PairHistory, gamma_scale, initial_scale, two_loop_direction
 from .linesearch import strong_wolfe_search
-from .step_control import acceptance_ratio, model_reduction, nonmonotone_reference
 
 
 class IterateState:
-    """Mutable per-run state of one solver loop, with ``f`` and ``g`` NaN
-    until evaluated. ``mu`` and ``fwindow`` (the last ``M + 1`` values that
-    regularized steps started from, newest last) belong to
-    :func:`accept_step_rlbfgs`; ``inner`` counts the run's rejected trials."""
+    """One solver run: its objective, config and evaluation ``counters``,
+    and the iterate, with ``f`` and ``g`` NaN until evaluated. ``mu`` and
+    ``fwindow`` (the last ``M + 1`` values that regularized steps started
+    from, newest last) belong to :func:`accept_step_rlbfgs`; ``inner`` counts
+    the run's rejected trials."""
 
-    __slots__ = ("x", "f", "g", "mu", "history", "gamma", "fwindow", "k", "inner")
+    __slots__ = ("objective", "config", "counters", "x", "f", "g", "mu", "history",
+                 "gamma", "fwindow", "k", "inner")
 
-    def __init__(self, x: Vector, config: SolverConfig):
+    def __init__(self, objective: Objective, x: Vector, config: SolverConfig):
+        self.objective = objective
+        self.config = config
+        self.counters = EvalCounter()
         self.x = x
         self.f = math.nan
         self.g = np.full_like(x, math.nan)
@@ -92,12 +96,45 @@ class TraceRecord(NamedTuple):
         return json.dumps(record)
 
 
-def accept_step_rlbfgs(
-    state: IterateState,
-    config: SolverConfig,
-    objective: Objective,
-    counters: EvalCounter,
-) -> Tuple[Vector, Vector, float, float, float]:
+def model_reduction(gradient: Vector, d: Vector) -> float:
+    """Reduction predicted by the quadratic model: ``-0.5 * g'd``.
+
+    Valid only for directions produced by the two-loop recursion for this
+    gradient, for which the curvature term collapses and no matrix is needed.
+    Zero when the step vanished; raises :class:`NumericalBreakdownError` for
+    an ascent direction or a NaN ``g'd``.
+    """
+    gd = float(gradient.dot(d))
+    if not gd <= 0.0:
+        raise NumericalBreakdownError(f"model predicts no reduction: g'd = {gd!r}")
+    return -0.5 * gd
+
+
+def acceptance_ratio(f_ref: float, f_trial: float, model_red: float) -> float:
+    """Actual over predicted reduction; negative when the trial is worse."""
+    if not model_red > 0.0:
+        raise ValueError("model reduction must be positive")
+    return (f_ref - f_trial) / model_red
+
+
+def nonmonotone_reference(window: deque) -> float:
+    """Reference objective value for the acceptance ratio.
+
+    ``window`` is a ``deque(maxlen=M + 1)`` of the values the regularized
+    steps were taken from, newest last; rejected trial points never enter
+    it. Until it is full the reference is the newest value, giving the plain
+    monotone ratio; once full it is the maximum of the last ``M + 1``
+    values, which permits occasional objective increases (Grippo,
+    Lampariello & Lucidi 1986). With ``M = 0`` the two coincide.
+    """
+    if len(window) == 0:
+        raise ValueError("window is empty")
+    if len(window) < window.maxlen:
+        return window[-1]
+    return max(window)
+
+
+def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, float, float, float]:
     """Inner loop of the regularized solvers, owner of ``state.mu`` and
     ``state.fwindow``.
 
@@ -115,6 +152,7 @@ def accept_step_rlbfgs(
     rejected trial exhausts the budget, changing neither ``state.mu`` nor
     ``state.inner``.
     """
+    config, counters = state.config, state.counters
     state.fwindow.append(state.f)
     f_ref = nonmonotone_reference(state.fwindow)
     mu_bar = state.mu
@@ -122,17 +160,13 @@ def accept_step_rlbfgs(
     f_trial = state.f  # no trial yet: a first step that vanishes is an overflow
     while True:
         d = two_loop_direction(state.history, state.g, mu_bar, state.gamma)
-        try:
-            reduction = model_reduction(state.g, d)
-        except NumericalBreakdownError:
-            # A step that vanished under escalation ends like passing the
-            # cap; an ascent direction stays a breakdown.
-            if float(state.g.dot(d)) != 0.0:
-                raise
+        reduction = model_reduction(state.g, d)
+        if reduction == 0.0:
+            # A step that vanished under escalation ends like passing the cap.
             break
         x_trial = state.x + d
         try:
-            f_trial = evaluate(objective, x_trial, counters, "value")
+            f_trial = evaluate(state.objective, x_trial, counters, "value")
         except NumericalBreakdownError:
             f_trial = math.inf
         if math.isfinite(f_trial):
@@ -168,7 +202,7 @@ def update_mu(mu_used: float, ratio: float, config: SolverConfig) -> float:
     return mu_used
 
 
-def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0):
+def _wolfe_ray(state, x0, d, f0, dphi0):
     """Strong Wolfe search from ``x0`` along ``d``, first trying the unit step.
 
     Returns ``(alpha, x, f, g)`` at the accepted point, reusing the probe
@@ -177,11 +211,12 @@ def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0):
     step is found.
     """
     probed = []
+    config = state.config
 
     def along(alpha: float):
         x_t = x0 + alpha * d
         try:
-            f_t, g_t = evaluate(objective, x_t, counters, "both")
+            f_t, g_t = evaluate(state.objective, x_t, state.counters, "both")
         except NumericalBreakdownError:
             return math.inf, 0.0
         probed[:] = (x_t, g_t)
@@ -196,17 +231,15 @@ def _wolfe_ray(objective, counters, config, x0, d, f0, dphi0):
 
 
 def wolfe_extension_step(
-    objective: Objective,
-    counters: EvalCounter,
-    config: SolverConfig,
+    state: IterateState,
     x_unit: Vector,
     d: Vector,
     f_unit: float,
     g_unit: Vector,
-    g_prev: Vector,
     mu_used: float,
 ) -> Tuple[Vector, float, Vector, Vector, Optional[float], bool]:
-    """Opportunistic step extension after an accepted regularized step.
+    """Opportunistic step extension after an accepted regularized step from
+    ``state.x``.
 
     Fires only when the unit step left a steep slope (the curvature
     condition fails at the trial point) while the regularization already sat
@@ -222,50 +255,47 @@ def wolfe_extension_step(
     """
     # The floor test costs one comparison, so it goes first and the two dot
     # products are taken only when it holds.
-    if mu_used != config.mu_min:
+    if mu_used != state.config.mu_min:
         return x_unit, f_unit, g_unit, d, None, False
     d_dot_unit = float(d.dot(g_unit))
-    if not d_dot_unit < config.c2 * float(d.dot(g_prev)):
+    if not d_dot_unit < state.config.c2 * float(d.dot(state.g)):
         return x_unit, f_unit, g_unit, d, None, False
     try:
-        alpha, x_new, f_new, g_new = _wolfe_ray(
-            objective, counters, config, x_unit, d, f_unit, d_dot_unit
-        )
+        alpha, x_new, f_new, g_new = _wolfe_ray(state, x_unit, d, f_unit, d_dot_unit)
     except (LineSearchError, NumericalBreakdownError):
         return x_unit, f_unit, g_unit, d, None, True
     return x_new, f_new, g_new, (1.0 + alpha) * d, alpha, False
 
 
-def _line_search_step(state, objective, config, counters):
+def _line_search_step(state):
     """lbfgs: a strong Wolfe search along the ``mu = 0`` direction that
     first tries the unit step."""
     d = two_loop_direction(state.history, state.g, 0.0, state.gamma)
     dphi0 = float(d.dot(state.g))
     if not -math.inf < dphi0 < 0.0:
         raise NumericalBreakdownError(f"not a finite descent direction: d'g = {dphi0!r}")
-    alpha, x, f, g = _wolfe_ray(objective, counters, config, state.x, d, state.f, dphi0)
+    alpha, x, f, g = _wolfe_ray(state, state.x, d, state.f, dphi0)
     return x, f, g, alpha * d, alpha, False, 0.0, None, f
 
 
-def _regularized_step(state, objective, config, counters, extend=False):
+def _regularized_step(state, extend=False):
     """rlbfgs: the regularized unit step that passes the ratio test; with
     ``extend`` (rlbfgs-sw), extended by a Wolfe search at the mu floor."""
-    x, d, mu, f, ratio = accept_step_rlbfgs(state, config, objective, counters)
+    x, d, mu, f, ratio = accept_step_rlbfgs(state)
     # One gradient evaluation per accepted step; it serves the extension
     # trigger, the new curvature pair, and the next iteration alike.
-    g = evaluate(objective, x, counters, "gradient")
+    g = evaluate(state.objective, x, state.counters, "gradient")
     if extend:
-        return (*wolfe_extension_step(objective, counters, config, x, d, f, g, state.g, mu),
-                mu, ratio, f)
+        return (*wolfe_extension_step(state, x, d, f, g, mu), mu, ratio, f)
     return x, f, g, d, None, False, mu, ratio, f
 
 
 def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
     """The iteration loop of every solver.
 
-    ``take_step(state, objective, config, counters)`` chooses the step and
-    returns ``(x, f, g, s, alpha, ls_failed, mu, ratio, f_unit)``: the next
-    iterate, the curvature step ``s`` to it, and what the trace records
+    ``take_step(state)`` chooses the step and returns
+    ``(x, f, g, s, alpha, ls_failed, mu, ratio, f_unit)``: the next iterate,
+    the curvature step ``s`` to it, and what the trace records
     (``alpha`` is None without a search, ``mu`` is the regularization the
     step was taken at, ``f_unit`` the value before any extension). This loop
     owns set-up, termination, the pair store and its scale, and the trace;
@@ -273,7 +303,6 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
     its one report.
     """
     config = config or SolverConfig()
-    counters = EvalCounter()
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or x.size != objective.dim:
@@ -281,14 +310,14 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     # A breakdown at x0 reports x0, what was evaluated, and an inf residual.
-    state = IterateState(x, config)
+    state = IterateState(objective, x, config)
+    counters = state.counters
     try:
         state.f = evaluate(objective, x, counters, "value")
         state.g = evaluate(objective, x, counters, "gradient")
         state.gamma = initial_scale(state.g)
         while (status := check_termination(state.g, state.x, counters, config)) is None:
-            x, f, g, s, alpha, ls_failed, mu, ratio, f_unit = take_step(
-                state, objective, config, counters)
+            x, f, g, s, alpha, ls_failed, mu, ratio, f_unit = take_step(state)
             # A dropped pair leaves the newest pair, and so the scale, as it was.
             if state.history.push(s, g - state.g):
                 state.gamma = gamma_scale(state.history.newest)

@@ -21,8 +21,13 @@ from regulus.curvature import (
 from regulus.harness import DEFAULT_TAU_GRID, RunRecord, performance_profile, run_batch
 from regulus.linesearch import strong_wolfe_search
 from regulus.problems import get_problem, registry
-from regulus.solvers import SOLVERS, solve_rlbfgs, solve_rlbfgs_sw
-from regulus.step_control import acceptance_ratio, model_reduction
+from regulus.solvers import (
+    SOLVERS,
+    acceptance_ratio,
+    model_reduction,
+    solve_rlbfgs,
+    solve_rlbfgs_sw,
+)
 
 from conftest import (
     dense_bfgs_oracle,

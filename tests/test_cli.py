@@ -73,6 +73,24 @@ def test_solve_out_of_range_input_is_usage_error(argv, monkeypatch, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_out_of_memory_problem_is_usage_error(command, monkeypatch, capsys):
+    # A dimension that fits the address space but not memory: numpy raises
+    # MemoryError while the problem is built. Nothing is allocated here.
+    def no_memory(name):
+        raise MemoryError(f"unable to allocate the problem {name!r}")
+
+    monkeypatch.setattr(regulus.cli, "get_problem", no_memory)
+    monkeypatch.setitem(SOLVERS, "rlbfgs", _no_solve)
+    argv = {
+        "solve": ["solve", "quadratic-diag:100000000000"],
+        "bench": ["bench", "--problems", "quadratic-diag:100000000000",
+                  "--solvers", "rlbfgs", "--out", os.devnull],
+    }[command]
+    assert main(argv) == 2
+    assert "unable to allocate" in capsys.readouterr().err
+
+
 def test_solve_far_start(capsys):
     assert main(["solve", "penalty1:100@100", "--solver", "lbfgs"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "Converged"
@@ -203,6 +221,14 @@ def test_profile_empty_intersection_exit_code(tmp_path, capsys):
     assert "no problem" in capsys.readouterr().err
 
 
+def _cli_process(argv, stdout):
+    """``python -m regulus *argv`` on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "regulus", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_closed_stdout_exits_without_traceback(tmp_path, command):
     argv = {
@@ -210,12 +236,25 @@ def test_closed_stdout_exits_without_traceback(tmp_path, command):
         "bench": ["bench", "--problems", "beale", "--solvers", "rlbfgs",
                   "--out", str(tmp_path / "records.csv")],
     }[command]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, "-m", "regulus", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = _cli_process(argv, subprocess.PIPE)
     proc.stdout.close()  # the reader goes away before the command writes
     with proc.stderr:
         err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == regulus.cli.BROKEN_PIPE
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("argv, stdout", [
+    (["solve", "beale", "--trace", "/dev/full"], os.devnull),
+    (["bench", "--problems", "beale", "--solvers", "lbfgs", "--out", "/dev/full"], os.devnull),
+    (["solve", "beale"], "/dev/full"),
+], ids=["trace", "records", "stdout"])
+def test_failed_write_is_an_io_error(argv, stdout):
+    # A full disk is neither "did not converge" (1) nor a traceback.
+    with open(stdout, "w") as out:
+        proc = _cli_process(argv, out)
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == regulus.cli.IO_ERROR
+    assert "Traceback" not in err and "No space left on device" in err, err

@@ -101,6 +101,19 @@ def test_config_from_mapping_rejects_fractional_int(tmp_path):
         SolverConfig.from_mapping({"m": "2.5"})
 
 
+@pytest.mark.parametrize("field", ["m", "M", "max_fevals", "max_ls_iters"])
+def test_config_int_fields_take_integral_values_only(field):
+    # An integral float or numpy scalar is stored as an int, so the deques
+    # that m and M size accept it; anything else is a ValueError at
+    # construction, not a TypeError inside a run.
+    for value in (5.0, np.int64(5), np.float64(5.0)):
+        stored = getattr(SolverConfig(**{field: value}), field)
+        assert stored == 5 and type(stored) is int
+    for value in (5.5, math.nan, math.inf, "5"):
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(**{field: value})
+
+
 def test_evaluate_counts_and_values():
     obj = quadratic_objective(np.ones(2))
     counters = EvalCounter()

@@ -15,7 +15,7 @@ from regulus import EvalCounter, Objective, ProblemDef
 loaded = {m for m in sys.modules if m.split(".")[0] == "regulus"}
 assert loaded == {
     "regulus", "regulus.core", "regulus.curvature", "regulus.linesearch",
-    "regulus.problems", "regulus.solvers", "regulus.step_control",
+    "regulus.problems", "regulus.solvers",
 }, sorted(loaded)
 lazy = [m for m in ("csv", "concurrent.futures") if m in sys.modules]
 assert not lazy, lazy

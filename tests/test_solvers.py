@@ -5,7 +5,6 @@ import pytest
 
 from regulus.core import (
     EvalBudgetExceededError,
-    EvalCounter,
     NumericalBreakdownError,
     Objective,
     RegularizationOverflowError,
@@ -29,15 +28,12 @@ from conftest import CountingObjective, faulty, quadratic_objective
 
 
 def fresh_state(objective, x0, config):
-    counters = EvalCounter()
-    x = np.asarray(x0, dtype=float)
-    f = objective.value(x)
-    counters.n_f += 1
-    g = objective.gradient(x)
-    counters.n_g += 1
-    state = IterateState(x, config)
-    state.f, state.g = f, np.asarray(g, float)
-    return state, counters
+    """A run's state at ``x0`` after its first evaluations, and its counters."""
+    state = IterateState(objective, np.asarray(x0, dtype=float), config)
+    state.f = objective.value(state.x)
+    state.g = np.asarray(objective.gradient(state.x), float)
+    state.counters.n_f, state.counters.n_g = 1, 1
+    return state, state.counters
 
 
 # --- update_mu -------------------------------------------------------------
@@ -67,7 +63,7 @@ def test_accept_step_exact_quadratic_accepts_first_trial():
     objective = quadratic_objective(2.0 * np.ones(2))
     config = SolverConfig()
     state, counters = fresh_state(objective, [3.0, 4.0], config)
-    x, d, mu, f, ratio = accept_step_rlbfgs(state, config, objective, counters)
+    x, d, mu, f, ratio = accept_step_rlbfgs(state)
     assert state.inner == 0
     assert mu == config.mu0
     assert ratio == pytest.approx(1.0)
@@ -85,7 +81,7 @@ def test_accept_step_two_trial_script():
     objective = Objective(dim=1, value=value, gradient=lambda x: np.array([1.0]))
     config = SolverConfig()
     state, counters = fresh_state(objective, [0.0], config)
-    x, d, mu, f, ratio = accept_step_rlbfgs(state, config, objective, counters)
+    x, d, mu, f, ratio = accept_step_rlbfgs(state)
     assert state.inner == 1
     assert mu == 10.0
     assert f == 1.0 - 1.0 / 44.0
@@ -101,7 +97,7 @@ def test_accept_step_owns_mu_and_window(diag):
     config = SolverConfig()
     state, counters = fresh_state(objective, [3.0, 4.0], config)
     f_before = state.f
-    x, d, mu, f, ratio = accept_step_rlbfgs(state, config, objective, counters)
+    x, d, mu, f, ratio = accept_step_rlbfgs(state)
     assert state.mu == update_mu(mu, ratio, config)
     assert state.fwindow[-1] == f_before
 
@@ -114,7 +110,7 @@ def test_accept_step_overflow_on_hostile_objective():
     config = SolverConfig()
     state, counters = fresh_state(objective, [0.0], config)
     with pytest.raises(RegularizationOverflowError):
-        accept_step_rlbfgs(state, config, objective, counters)
+        accept_step_rlbfgs(state)
 
 
 def test_accept_step_breakdown_when_every_trial_is_nonfinite():
@@ -127,7 +123,7 @@ def test_accept_step_breakdown_when_every_trial_is_nonfinite():
     config = SolverConfig()
     state, counters = fresh_state(objective, [0.0], config)
     with pytest.raises(NumericalBreakdownError, match="non-finite trial"):
-        accept_step_rlbfgs(state, config, objective, counters)
+        accept_step_rlbfgs(state)
 
 
 def test_accept_step_vanishing_step_is_an_overflow():
@@ -140,7 +136,7 @@ def test_accept_step_vanishing_step_is_an_overflow():
     config = SolverConfig()
     state, counters = fresh_state(objective, [0.0], config)
     with pytest.raises(RegularizationOverflowError):
-        accept_step_rlbfgs(state, config, objective, counters)
+        accept_step_rlbfgs(state)
     assert counters.n_f == 5  # initial + trials at mu = 1, 10, 100, 1000
     assert state.mu == config.mu0
 
@@ -153,7 +149,7 @@ def test_accept_step_vanishing_step_after_nonfinite_trial_is_a_breakdown():
     config = SolverConfig()
     state, counters = fresh_state(objective, [0.0], config)
     with pytest.raises(NumericalBreakdownError, match="non-finite trial"):
-        accept_step_rlbfgs(state, config, objective, counters)
+        accept_step_rlbfgs(state)
 
 
 def test_accept_step_ascent_direction_stays_a_breakdown():
@@ -164,7 +160,7 @@ def test_accept_step_ascent_direction_stays_a_breakdown():
     state, counters = fresh_state(objective, [1.0], config)
     state.gamma = -0.5
     with pytest.raises(NumericalBreakdownError, match="no reduction"):
-        accept_step_rlbfgs(state, config, objective, counters)
+        accept_step_rlbfgs(state)
 
 
 def test_mu_max_must_be_finite():
@@ -199,7 +195,7 @@ def test_accept_step_budget_exhaustion_mid_loop():
     config = SolverConfig(max_fevals=3)
     state, counters = fresh_state(objective, [0.0], config)
     with pytest.raises(EvalBudgetExceededError):
-        accept_step_rlbfgs(state, config, objective, counters)
+        accept_step_rlbfgs(state)
     assert counters.n_f == 4
     # a step that raises adds no rejections and leaves mu as it was
     assert state.inner == 0
@@ -210,14 +206,14 @@ def test_accept_step_budget_exhaustion_mid_loop():
 
 def test_extension_trigger_requires_mu_at_floor():
     objective = quadratic_objective(np.ones(1))
-    config = SolverConfig()
-    counters = EvalCounter()
+    state = IterateState(objective, np.array([10.0]), SolverConfig())
+    state.g = np.array([10.0])  # the gradient the unit step was taken from
+    counters = state.counters
     x_unit = np.array([9.901])
     d = np.array([-0.099])
     x, f, g, s, alpha, ls_failed = wolfe_extension_step(
-        objective, counters, config, x_unit, d,
-        f_unit=objective.value(x_unit), g_unit=np.array([9.901]),
-        g_prev=np.array([10.0]), mu_used=1.0,
+        state, x_unit, d, f_unit=objective.value(x_unit), g_unit=np.array([9.901]),
+        mu_used=1.0,
     )
     assert alpha is None and not ls_failed
     np.testing.assert_array_equal(x, x_unit)
@@ -230,16 +226,14 @@ def test_extension_scripted_short_step():
     # slope, the curvature trigger fires, and the Wolfe search extends it
     objective = quadratic_objective(np.ones(1))
     config = SolverConfig()
-    counters = EvalCounter()
-    x = np.array([10.0])
+    state = IterateState(objective, np.array([10.0]), config)
+    state.g = objective.gradient(state.x)
     d = np.array([-0.099])
-    x_unit = x + d
+    x_unit = state.x + d
     f_unit = objective.value(x_unit)
     g_unit = objective.gradient(x_unit)
     x_new, f, g, s, alpha, ls_failed = wolfe_extension_step(
-        objective, counters, config, x_unit, d,
-        f_unit=f_unit, g_unit=g_unit, g_prev=objective.gradient(x),
-        mu_used=config.mu_min,
+        state, x_unit, d, f_unit=f_unit, g_unit=g_unit, mu_used=config.mu_min,
     )
     assert not ls_failed
     assert alpha is not None and alpha >= 1.0
@@ -258,13 +252,13 @@ def test_extension_failure_falls_back_to_unit_step():
         dim=1, value=lambda x: -float(x[0]), gradient=lambda x: np.array([-1.0])
     )
     config = SolverConfig()
-    counters = EvalCounter()
+    state = IterateState(objective, np.array([0.0]), config)
+    state.g = np.array([-1.0])
+    counters = state.counters
     x_unit = np.array([1.0])
     d = np.array([1.0])
     x, f, g, s, alpha, ls_failed = wolfe_extension_step(
-        objective, counters, config, x_unit, d,
-        f_unit=-1.0, g_unit=np.array([-1.0]), g_prev=np.array([-1.0]),
-        mu_used=config.mu_min,
+        state, x_unit, d, f_unit=-1.0, g_unit=np.array([-1.0]), mu_used=config.mu_min,
     )
     assert ls_failed
     assert alpha is None
@@ -283,13 +277,13 @@ def test_extension_gives_up_on_broken_probes_and_falls_back():
         gradient=lambda x: np.array([-1.0]),
     )
     config = SolverConfig()
-    counters = EvalCounter()
+    state = IterateState(objective, np.array([0.0]), config)
+    state.g = np.array([-1.0])
+    counters = state.counters
     x_unit = np.array([1.0])
     d = np.array([1.0])
     x, f, g, s, alpha, ls_failed = wolfe_extension_step(
-        objective, counters, config, x_unit, d,
-        f_unit=-1.0, g_unit=np.array([-1.0]), g_prev=np.array([-1.0]),
-        mu_used=config.mu_min,
+        state, x_unit, d, f_unit=-1.0, g_unit=np.array([-1.0]), mu_used=config.mu_min,
     )
     assert ls_failed
     assert alpha is None
@@ -417,7 +411,7 @@ def test_lbfgs_overflowing_directional_derivative_is_a_breakdown():
     state.g = np.array([1e200, 1e200])
     calls = (counting.value_calls, counting.grad_calls)
     with pytest.raises(NumericalBreakdownError, match="d'g = -inf"):
-        _line_search_step(state, counting.objective, config, counters)
+        _line_search_step(state)
     assert (counting.value_calls, counting.grad_calls) == calls
 
 

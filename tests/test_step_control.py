@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from regulus.core import NumericalBreakdownError
 from regulus.curvature import two_loop_direction
-from regulus.step_control import (
+from regulus.solvers import (
     acceptance_ratio,
     model_reduction,
     nonmonotone_reference,
@@ -27,7 +28,9 @@ def test_model_reduction_rejects_ascent():
     with pytest.raises(NumericalBreakdownError):
         model_reduction(np.array([1.0]), np.array([2.0]))
     with pytest.raises(NumericalBreakdownError):
-        model_reduction(np.array([1.0]), np.array([0.0]))
+        model_reduction(np.array([1.0]), np.array([math.nan]))
+    # A vanished step predicts no reduction; its caller decides what that means.
+    assert model_reduction(np.array([1.0]), np.array([0.0])) == 0.0
 
 
 def test_model_reduction_equals_quadratic_form(rng):
