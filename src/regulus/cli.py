@@ -10,10 +10,11 @@ import os
 import sys
 from typing import List, Optional
 
-from .core import SolverConfig, Status, read_config_file
+from .core import SolverConfig, Status, config_entry, read_config_file
 from .harness import (
     DEFAULT_TAU_GRID,
     EmptyIntersectionError,
+    check_batch,
     performance_profile,
     read_records,
     run_batch,
@@ -34,11 +35,7 @@ def _build_config(args) -> SolverConfig:
     """The config file's entries, overridden by each ``-p``, validated once
     as a whole."""
     data = read_config_file(args.config) if args.config else {}
-    for item in args.param or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"bad --param {item!r}; expected key=value")
-        data[key.strip()] = value.strip()
+    data.update(config_entry(item, "-p") for item in args.param or [])
     return SolverConfig.from_mapping(data)
 
 
@@ -50,7 +47,9 @@ def _select_problems(selection: str):
 
 def _usage_error(args, exc) -> int:
     args.parser.print_usage(sys.stderr)
-    print(f"error: {exc}", file=sys.stderr)
+    # A KeyError's str is the repr of its message.
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"error: {message}", file=sys.stderr)
     return USAGE_ERROR
 
 
@@ -76,11 +75,7 @@ def cmd_bench(args) -> int:
         config = _build_config(args)
         problems = _select_problems(args.problems)
         solvers = [s for s in args.solvers.split(",") if s]
-        if not problems or not solvers:
-            raise ValueError("problem and solver selections must be nonempty")
-        for solver in solvers:
-            if solver not in SOLVERS:
-                raise ValueError(f"unknown solver: {solver!r}")
+        check_batch(problems, solvers)
         # Opened before the batch so that a bad path fails fast.
         out = open(args.out, "w", newline="")
     except (KeyError, ValueError, MemoryError, OSError) as exc:

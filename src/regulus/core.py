@@ -6,12 +6,13 @@ configuration (with its file format), run reports, and the termination rule.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Dict, Literal, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Dict, Literal, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -97,10 +98,10 @@ class SolverConfig:
     ``mu0``/``mu_min`` bound the regularization parameter, ``gamma1`` and
     ``gamma2`` shrink/grow it, ``eta1``/``eta2`` are the ratio-test
     thresholds, ``m`` is the curvature memory, ``M`` the nonmonotone window
-    and ``c1``/``c2`` the Wolfe constants. ``mu_max``, which must be finite,
-    is the cap past which mu escalation ends the run. A field annotated
-    ``int`` takes any integral value (``1e4``, ``5.0``, ``np.int64(5)``) and
-    stores it as an ``int``.
+    and ``c1``/``c2`` the Wolfe constants. ``mu_max`` is the cap past which
+    mu escalation ends the run. An ``int`` field stores any integral value
+    (``1e4``, ``np.int64(5)``) as its exact ``int``, a ``float`` field any
+    finite real as a ``float``; anything else is a ``ValueError``.
     """
 
     mu0: float = 1.0
@@ -120,16 +121,17 @@ class SolverConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type in (int, "int"):
-                value = getattr(self, f.name)
-                try:
-                    integral = int(value) == value
-                except (TypeError, ValueError, OverflowError):
-                    integral = False
-                if not integral:
-                    raise ValueError(f"config key {f.name!r} must be an integer, got {value!r}")
-                object.__setattr__(self, f.name, int(value))
-        # Each check is written so that a NaN fails it.
+            value = getattr(self, f.name)
+            integral = f.type in (int, "int")
+            try:
+                # math.isfinite rejects a string and an int beyond a float.
+                valid = int(value) == value if integral else math.isfinite(value)
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                kind = "an integer" if integral else "finite"
+                raise ValueError(f"config key {f.name} must be {kind}, got {value!r}")
+            object.__setattr__(self, f.name, int(value) if integral else float(value))
         if not 0.0 < self.mu_min <= self.mu0:
             raise ValueError("requires 0 < mu_min <= mu0")
         if not 0.0 < self.gamma1 <= 1.0 < self.gamma2:
@@ -147,49 +149,43 @@ class SolverConfig:
             raise ValueError("grad_tol must be positive")
         if not self.max_fevals >= 1:
             raise ValueError("max_fevals must be a positive integer")
-        if not self.mu0 <= self.mu_max < math.inf:
-            raise ValueError("mu_max must be finite and at least mu0")
+        if not self.mu0 <= self.mu_max:
+            raise ValueError("mu_max must be at least mu0")
         if not self.max_ls_iters >= 1:
             raise ValueError("max_ls_iters must be a positive integer")
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Union[str, int, float]]) -> "SolverConfig":
-        """Build a config from a flat mapping of numbers or their strings;
-        unknown keys are rejected. Every bad value, an integer too large for
-        a float included, raises ``ValueError``."""
-        known = {f.name for f in fields(cls)}
+        """Build a config from a flat mapping; unknown keys are rejected. A
+        string is read exactly by ``int`` for an ``int`` field if it can be
+        (``"1e4"`` cannot), else by ``float``; numbers pass as they are."""
+        types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
-        for key, raw in data.items():
-            if key not in known:
+        for key, value in data.items():
+            if key not in types:
                 raise ValueError(f"unknown config key: {key!r}")
-            try:
-                kwargs[key] = float(raw)
-            except OverflowError:
-                raise ValueError(f"config key {key!r} is out of range") from None
+            if isinstance(value, str) and types[key] in (int, "int"):
+                with contextlib.suppress(ValueError):
+                    value = int(value)
+            kwargs[key] = float(value) if isinstance(value, str) else value
         return cls(**kwargs)
 
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "SolverConfig":
-        """Build a config from a file in the format of :func:`read_config_file`."""
-        return cls.from_mapping(read_config_file(path))
+
+def config_entry(text: str, where: str) -> Tuple[str, str]:
+    """Split a config file line or a ``-p`` value into its stripped key and
+    value; a missing ``=``, key or value is a ``ValueError`` naming ``where``."""
+    key, sep, value = (part.strip() for part in text.partition("="))
+    if not sep or not key or not value:
+        raise ValueError(f"{where}: expected 'key = value', got {text!r}")
+    return key, value
 
 
 def read_config_file(path: Union[str, Path]) -> Dict[str, str]:
-    """Parse a flat ``key = value`` config file (one entry per line) into a
-    mapping of raw strings, for :meth:`SolverConfig.from_mapping`.
-
-    Blank lines and ``#`` comments are ignored; every key is optional.
-    """
-    data = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or not key.strip() or not value.strip():
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        data[key.strip()] = value.strip()
-    return data
+    """Parse a flat config file, one :func:`config_entry` per line after
+    ``#`` comments and blank lines, into raw strings for
+    :meth:`SolverConfig.from_mapping`; every key is optional."""
+    lines = (raw.split("#", 1)[0].strip() for raw in Path(path).read_text().splitlines())
+    return dict(config_entry(line, f"{path}:{n}") for n, line in enumerate(lines, 1) if line)
 
 
 class RunReport:

@@ -67,6 +67,21 @@ class ProfileCurve:
     points: Tuple[Tuple[float, float], ...]
 
 
+def check_batch(problems: Sequence[ProblemDef], solvers: Sequence[str]) -> None:
+    """Accept a batch selection only when both lists are nonempty, every
+    solver is known (else ``KeyError``) and no (problem name, solver) cell
+    repeats (else ``ValueError``; ``beale`` is named ``beale:2``)."""
+    if not problems or not solvers:
+        raise ValueError("problem and solver selections must be nonempty")
+    unknown = [s for s in solvers if s not in SOLVERS]
+    if unknown:
+        raise KeyError(f"unknown solvers: {unknown}")
+    cells = sorted((p.name, s) for p in problems for s in solvers)
+    for (problem, solver), later in zip(cells, cells[1:]):
+        if (problem, solver) == later:
+            raise ValueError(f"the cell ({problem}, {solver}) is selected twice")
+
+
 def run_batch(
     problems: Sequence[ProblemDef],
     solvers: Sequence[str],
@@ -79,13 +94,9 @@ def run_batch(
     batch goes on. Any other exception, such as one the objective raises
     itself, is a bug and propagates. Records come back in canonical
     (problem, solver) order and their contents are deterministic for a fixed
-    config, apart from wall times.
+    config, apart from wall times. The selection must pass :func:`check_batch`.
     """
-    if not problems or not solvers:
-        raise ValueError("problem and solver selections must be nonempty")
-    unknown = [s for s in solvers if s not in SOLVERS]
-    if unknown:
-        raise KeyError(f"unknown solvers: {unknown}")
+    check_batch(problems, solvers)
     config = config or SolverConfig()
 
     records = [

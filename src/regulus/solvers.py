@@ -111,24 +111,20 @@ def model_reduction(gradient: Vector, d: Vector) -> float:
 
 
 def acceptance_ratio(f_ref: float, f_trial: float, model_red: float) -> float:
-    """Actual over predicted reduction; negative when the trial is worse."""
-    if not model_red > 0.0:
-        raise ValueError("model reduction must be positive")
+    """Actual over (positive) predicted reduction; negative when the trial is worse."""
     return (f_ref - f_trial) / model_red
 
 
 def nonmonotone_reference(window: deque) -> float:
     """Reference objective value for the acceptance ratio.
 
-    ``window`` is a ``deque(maxlen=M + 1)`` of the values the regularized
-    steps were taken from, newest last; rejected trial points never enter
-    it. Until it is full the reference is the newest value, giving the plain
-    monotone ratio; once full it is the maximum of the last ``M + 1``
-    values, which permits occasional objective increases (Grippo,
+    ``window`` is a nonempty ``deque(maxlen=M + 1)`` of the values the
+    regularized steps were taken from, newest last; rejected trial points
+    never enter it. Until it is full the reference is the newest value,
+    giving the plain monotone ratio; once full it is the maximum of the last
+    ``M + 1`` values, which permits occasional objective increases (Grippo,
     Lampariello & Lucidi 1986). With ``M = 0`` the two coincide.
     """
-    if len(window) == 0:
-        raise ValueError("window is empty")
     if len(window) < window.maxlen:
         return window[-1]
     return max(window)
@@ -189,14 +185,12 @@ def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, float, floa
 
 
 def update_mu(mu_used: float, ratio: float, config: SolverConfig) -> float:
-    """Regularization parameter for the next outer iteration.
+    """Regularization parameter for the next outer iteration after an accepted step.
 
     An ordinary acceptance keeps the parameter; a very successful one
     (ratio at least ``eta2``) shrinks it by ``gamma1``, floored at
     ``mu_min``.
     """
-    if ratio < config.eta1:
-        raise ValueError("update_mu requires an accepted step (ratio >= eta1)")
     if ratio >= config.eta2:
         return max(config.mu_min, config.gamma1 * mu_used)
     return mu_used

@@ -36,7 +36,7 @@ def test_solve_unknown_solver_is_usage_error(capsys):
 
 def test_solve_unknown_problem_is_usage_error(capsys):
     assert main(["solve", "no-such-problem"]) == 2
-    assert "error" in capsys.readouterr().err
+    assert "error: unknown problem family: 'no-such-problem'\n" in capsys.readouterr().err
 
 
 def test_solve_failure_exit_code(capsys):
@@ -51,6 +51,24 @@ def test_solve_failure_exit_code(capsys):
 def test_solve_bad_param_is_usage_error(capsys):
     assert main(["solve", "rosenbrock:2", "-p", "max_fevals"]) == 2
     assert main(["solve", "rosenbrock:2", "-p", "bogus=1"]) == 2
+    assert main(["solve", "rosenbrock:2", "-p", "=1"]) == 2
+    assert main(["solve", "rosenbrock:2", "-p", "m="]) == 2
+
+
+def test_params_reach_the_solver_exactly(monkeypatch, capsys):
+    # Integers are read as integers: 2**53 + 1 is no float, and the largest
+    # memory m the config allows is accepted by -p as by the constructor.
+    configs = []
+
+    def capture(objective, x0, config, trace=None):
+        configs.append(config)
+        return solve_rlbfgs(objective, x0, config, trace)
+
+    monkeypatch.setitem(SOLVERS, "rlbfgs", capture)
+    assert main(["solve", "beale", "-p", "max_fevals=9007199254740993"]) == 0
+    assert main(["solve", "beale", "-p", f"m={sys.maxsize}"]) == 0
+    assert configs[0].max_fevals == 9007199254740993
+    assert configs[1].m == sys.maxsize
 
 
 @pytest.mark.parametrize("argv", [
@@ -63,8 +81,11 @@ def test_solve_bad_param_is_usage_error(capsys):
     ["beale@nan"],
     ["beale", "-p", "mu_max=inf"],
     ["beale", "-p", "alpha_floor=1e-8"],
+    ["beale", "-p", "grad_tol=inf"],
+    ["beale", "-p", "gamma2=inf"],
 ], ids=["m-inf", "max_fevals-overflow", "m-huge", "M-huge", "dimension-zero",
-        "scale-zero", "scale-nan", "mu_max-inf", "alpha_floor-gone"])
+        "scale-zero", "scale-nan", "mu_max-inf", "alpha_floor-gone", "grad_tol-inf",
+        "gamma2-inf"])
 def test_solve_out_of_range_input_is_usage_error(argv, monkeypatch, capsys):
     # Non-finite or oversized integers and empty problems are usage errors,
     # not an OverflowError or ZeroDivisionError traceback or an empty solve.
@@ -176,6 +197,23 @@ def test_bench_profile_pipeline(tmp_path, capsys):
 
 def test_bench_unknown_solver_is_usage_error(capsys):
     assert main(["bench", "--solvers", "nope", "--out", "/tmp/x.csv"]) == 2
+    assert "error: unknown solvers: ['nope']\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problems, solvers", [
+    ("beale,beale", "lbfgs"),
+    ("beale,beale:2", "lbfgs"),
+    ("beale", "lbfgs,lbfgs"),
+])
+def test_bench_repeated_cell_is_usage_error(tmp_path, monkeypatch, capsys, problems, solvers):
+    # A repeated (problem, solver) cell would write records that profile
+    # rejects; no records file is created.
+    monkeypatch.setattr(regulus.cli, "run_batch", _no_solve)
+    records_path = tmp_path / "records.csv"
+    argv = ["bench", "--problems", problems, "--solvers", solvers, "--out", str(records_path)]
+    assert main(argv) == 2
+    assert "selected twice" in capsys.readouterr().err
+    assert not records_path.exists()
 
 
 def test_bench_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from regulus.core import (
     Status,
     check_termination,
     evaluate,
+    read_config_file,
     scaled_gradient_norm,
 )
 
@@ -53,6 +54,8 @@ def test_defaults_match_documented_values():
         {"max_fevals": 0},
         {"mu_max": math.inf},
         {"max_ls_iters": 0},
+        {"grad_tol": math.inf},
+        {"grad_tol": 10**400},
     ],
 )
 def test_config_validation(bad):
@@ -80,7 +83,7 @@ def test_config_from_file(tmp_path):
         "m=7\n"
         "grad_tol = 1e-6\n"
     )
-    cfg = SolverConfig.from_file(path)
+    cfg = SolverConfig.from_mapping(read_config_file(path))
     assert cfg.mu0 == 2.5
     assert cfg.M == 8
     assert cfg.m == 7
@@ -93,7 +96,15 @@ def test_config_from_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "solver.cfg"
     path.write_text("not_a_field = 3\n")
     with pytest.raises(ValueError, match="unknown config key"):
-        SolverConfig.from_file(path)
+        SolverConfig.from_mapping(read_config_file(path))
+
+
+@pytest.mark.parametrize("line", ["mu0", "mu0 =", "= 2", "mu0 2"])
+def test_config_file_rejects_a_line_without_key_and_value(tmp_path, line):
+    path = tmp_path / "solver.cfg"
+    path.write_text(f"m = 3\n{line}\n")
+    with pytest.raises(ValueError, match="solver.cfg:2: expected 'key = value'"):
+        read_config_file(path)
 
 
 def test_config_from_mapping_rejects_fractional_int(tmp_path):
@@ -112,6 +123,23 @@ def test_config_int_fields_take_integral_values_only(field):
     for value in (5.5, math.nan, math.inf, "5"):
         with pytest.raises(ValueError, match="integer"):
             SolverConfig(**{field: value})
+
+
+def test_config_reads_integers_exactly():
+    # 2**53 + 1 is the first integer a float cannot hold.
+    for value in (2**53 + 1, str(2**53 + 1)):
+        assert SolverConfig.from_mapping({"max_fevals": value}).max_fevals == 2**53 + 1
+    assert SolverConfig.from_mapping({"max_fevals": 10**400}) == SolverConfig(max_fevals=10**400)
+    assert SolverConfig.from_mapping({"max_fevals": "1e4"}).max_fevals == 10000
+
+
+def test_config_float_fields_store_finite_floats():
+    # An int in a float field is stored as a float, so a trace prints 1.0.
+    stored = SolverConfig(mu0=1).mu0
+    assert stored == 1.0 and type(stored) is float
+    for value in (math.inf, -math.inf, 10**400, "1"):
+        with pytest.raises(ValueError, match="gamma2 must be finite"):
+            SolverConfig(gamma2=value)
 
 
 def test_evaluate_counts_and_values():

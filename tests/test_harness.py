@@ -59,6 +59,8 @@ def test_batch_validates_selections():
         run_batch([], ["rlbfgs"])
     with pytest.raises(KeyError):
         run_batch(SMALL, ["nope"])
+    with pytest.raises(ValueError, match="selected twice"):
+        run_batch([SMALL[0], SMALL[0]], ["rlbfgs"])
 
 
 def test_batch_propagates_objective_exceptions():

@@ -126,11 +126,13 @@ CONFIG_MAPPINGS = st.lists(
 
 def _satisfies_invariants(c: SolverConfig) -> bool:
     """The invariants ``SolverConfig.__post_init__`` promises, restated."""
-    ints = all(type(getattr(c, f.name)) is int
-               for f in dataclasses.fields(c) if f.type in (int, "int"))
-    return ints and (
+    typed = all(
+        type(value) is int if f.type in (int, "int")
+        else type(value) is float and math.isfinite(value)
+        for f in dataclasses.fields(c) for value in [getattr(c, f.name)]
+    )
+    return typed and (
         0.0 < c.mu_min <= c.mu0 <= c.mu_max
-        and math.isfinite(c.mu_max)
         and 0.0 < c.gamma1 <= 1.0 < c.gamma2
         and 0.0 < c.eta1 < c.eta2 <= 1.0
         and 1 <= c.m <= sys.maxsize
@@ -150,6 +152,27 @@ def test_config_from_mapping_is_valid_or_a_value_error(data):
     except ValueError:
         return
     assert _satisfies_invariants(config), config
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=CONFIG_MAPPINGS)
+def test_config_routes_agree(data):
+    # The constructor, a mapping of numbers and a mapping of their strings
+    # (what a config file or -p gives) accept the same values and build the
+    # same config from them.
+    text = {key: repr(value) for key, value in data.items()}
+    configs = []
+    for build in (lambda: SolverConfig(**data), lambda: SolverConfig.from_mapping(data),
+                  lambda: SolverConfig.from_mapping(text)):
+        try:
+            configs.append(build())
+        except ValueError:
+            configs.append(None)
+    if configs[0] is None:
+        assert configs == [None] * 3, (data, configs)
+    else:
+        assert configs[0] == configs[1] == configs[2], (data, configs)
+        assert all(_satisfies_invariants(c) for c in configs), configs
 
 
 @settings(max_examples=100, deadline=None)

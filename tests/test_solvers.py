@@ -50,11 +50,6 @@ def test_update_mu_floors_at_minimum():
     assert update_mu(0.005, 0.95, SolverConfig()) == 1e-3
 
 
-def test_update_mu_requires_accepted_ratio():
-    with pytest.raises(ValueError):
-        update_mu(1.0, 0.001, SolverConfig())
-
-
 # --- accept_step -----------------------------------------------------------
 
 def test_accept_step_exact_quadratic_accepts_first_trial():

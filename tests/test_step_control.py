@@ -54,11 +54,6 @@ def test_acceptance_ratio_values():
     assert acceptance_ratio(1.0, 0.75, 0.25) == 1.0
 
 
-def test_acceptance_ratio_requires_positive_reduction():
-    with pytest.raises(ValueError):
-        acceptance_ratio(1.0, 0.5, 0.0)
-
-
 def test_reference_monotone_case():
     window = deque((3.0, 1.0, 2.0), maxlen=1)
     assert nonmonotone_reference(window) == 2.0
@@ -88,8 +83,3 @@ def test_reference_never_below_current(rng):
             history = values[:k + 1]
             expected = history[-1] if M == 0 or k < M else max(history[-(M + 1):])
             assert ref.hex() == expected.hex()
-
-
-def test_reference_requires_values():
-    with pytest.raises(ValueError):
-        nonmonotone_reference(deque(maxlen=4))
