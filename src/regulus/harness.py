@@ -7,7 +7,6 @@ curves used to compare solvers.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -143,7 +142,7 @@ def performance_profile(
             if not solved:
                 continue
         else:
-            if set(cell) != set(solvers) or len(solved) != len(solvers):
+            if len(solved) != len(solvers):
                 continue
         costs[problem] = {
             s: (getattr(cell[s], metric) if s in solved else float("inf"))
@@ -160,29 +159,21 @@ def performance_profile(
         points = []
         for tau in taus:
             hits = sum(
-                1 for p in costs if costs[p].get(solver, float("inf")) <= tau * best[p]
+                1 for p in costs if costs[p][solver] <= tau * best[p]
             )
             points.append((tau, hits / total))
         curves.append(ProfileCurve(solver=solver, points=tuple(points)))
     return curves
 
 
-def _output(path: Union[str, Path, TextIO]):
-    """A text file opened with ``newline=""`` is written as it is; a path is
-    opened (and closed again) for writing."""
-    if isinstance(path, (str, Path)):
-        return open(path, "w", newline="")
-    return contextlib.nullcontext(path)
-
-
-def write_records(records: Iterable[RunRecord], path: Union[str, Path, TextIO]) -> None:
-    with _output(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_FIELDS)
-        # csv writes a float as its repr, so every value reads back exactly.
-        for r in records:
-            cells = (getattr(r, name) for name in CSV_FIELDS)
-            writer.writerow([c.value if isinstance(c, Status) else c for c in cells])
+def write_records(records: Iterable[RunRecord], handle: TextIO) -> None:
+    """Write the records as CSV to a text file opened with ``newline=""``."""
+    writer = csv.writer(handle)
+    writer.writerow(CSV_FIELDS)
+    # csv writes a float as its repr, so every value reads back exactly.
+    for r in records:
+        cells = (getattr(r, name) for name in CSV_FIELDS)
+        writer.writerow([c.value if isinstance(c, Status) else c for c in cells])
 
 
 def read_records(path: Union[str, Path]) -> List[RunRecord]:
@@ -193,16 +184,20 @@ def read_records(path: Union[str, Path]) -> List[RunRecord]:
         if missing:
             raise ValueError(f"records file is missing columns: {sorted(missing)}")
         for row in reader:
+            # DictReader fills a short row with None and keys extra fields None.
+            if None in row or None in row.values():
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(reader.fieldnames)} fields")
             records.append(RunRecord(
                 **{name: _COLUMN_TYPES[name](row[name]) for name in CSV_FIELDS}
             ))
     return records
 
 
-def write_profile(curves: Iterable[ProfileCurve], path: Union[str, Path, TextIO]) -> None:
-    with _output(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["solver", "tau", "fraction"])
-        for curve in curves:
-            for tau, fraction in curve.points:
-                writer.writerow([curve.solver, repr(tau), repr(fraction)])
+def write_profile(curves: Iterable[ProfileCurve], handle: TextIO) -> None:
+    """Write the curves as CSV to a text file opened with ``newline=""``."""
+    writer = csv.writer(handle)
+    writer.writerow(["solver", "tau", "fraction"])
+    for curve in curves:
+        for tau, fraction in curve.points:
+            writer.writerow([curve.solver, repr(tau), repr(fraction)])

@@ -15,7 +15,6 @@ import json
 import math
 import time
 from collections import deque
-from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -67,20 +66,25 @@ class IterateState:
 class TraceRecord(NamedTuple):
     """One per-iteration trace entry.
 
-    The serialized form carries the stable keys ``k, mu, ratio, gnorm,
-    alpha, nf``; the extra in-memory fields exist for tests and diagnostics.
-    ``alpha`` is None for iterations without a line search.
+    A step fills the fields it owns: the new iterate's value ``f``, the
+    regularization ``mu`` the step was taken at, the ``ratio`` of its ratio
+    test (None without one), the search's ``alpha`` (None without a search
+    or when it failed), ``f_unit``, the value before any extension, and
+    ``ls_failed``. The driver adds ``k``, the norm ``gnorm`` of the gradient
+    the step started from, and the evaluation count ``nf`` after it. The
+    serialized form carries the stable keys ``k, mu, ratio, gnorm, alpha,
+    nf``; the other fields exist for tests and diagnostics.
     """
 
-    k: int
+    f: float
     mu: float
     ratio: Optional[float]
-    gnorm: float
     alpha: Optional[float]
-    nf: int
-    f: float = math.nan
-    f_unit: float = math.nan
+    f_unit: float
     ls_failed: bool = False
+    k: int = 0
+    gnorm: float = math.nan
+    nf: int = 0
 
     def to_json(self) -> str:
         record = {
@@ -130,7 +134,7 @@ def nonmonotone_reference(window: deque) -> float:
     return max(window)
 
 
-def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, float, float, float]:
+def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, TraceRecord]:
     """Inner loop of the regularized solvers, owner of ``state.mu`` and
     ``state.fwindow``.
 
@@ -138,10 +142,10 @@ def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, float, floa
     repeatedly computes the direction, evaluates the trial point, and either
     accepts (ratio at least ``eta1`` against the nonmonotone reference) or
     escalates the parameter by ``gamma2`` and retries. Returns
-    ``(x, d, mu, f, ratio)``: the trial point ``x + d`` it accepted, the
-    step, the parameter it was taken at, its value, and its ratio; then
-    ``state.mu`` is :func:`update_mu` of that parameter and the rejections
-    are added to ``state.inner``. Non-finite trial values count as
+    ``(x, d, record)``: the trial point ``x + d`` it accepted, the step,
+    and a record of its value, the parameter it was taken at and its ratio;
+    then ``state.mu`` is :func:`update_mu` of that parameter and the
+    rejections are added to ``state.inner``. Non-finite trial values count as
     rejections. Raises :class:`RegularizationOverflowError` past ``mu_max``
     or once the step vanishes (:class:`NumericalBreakdownError` when the
     last trial was non-finite), and :class:`EvalBudgetExceededError` when a
@@ -170,7 +174,7 @@ def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, float, floa
             if ratio >= config.eta1:
                 state.mu = update_mu(mu_bar, ratio, config)
                 state.inner += inner
-                return x_trial, d, mu_bar, f_trial, ratio
+                return x_trial, d, TraceRecord(f_trial, mu_bar, ratio, None, f_trial)
         if counters.n_f > config.max_fevals:
             raise EvalBudgetExceededError(
                 f"evaluation budget exhausted after {counters.n_f} evaluations"
@@ -225,15 +229,11 @@ def _wolfe_ray(state, x0, d, f0, dphi0):
 
 
 def wolfe_extension_step(
-    state: IterateState,
-    x_unit: Vector,
-    d: Vector,
-    f_unit: float,
-    g_unit: Vector,
-    mu_used: float,
-) -> Tuple[Vector, float, Vector, Vector, Optional[float], bool]:
-    """Opportunistic step extension after an accepted regularized step from
-    ``state.x``.
+    state: IterateState, x_unit: Vector, g_unit: Vector, d: Vector, record: TraceRecord
+) -> Tuple[Vector, Vector, Vector, TraceRecord]:
+    """Opportunistic step extension after the regularized step ``d`` from
+    ``state.x`` to ``x_unit``, whose gradient is ``g_unit`` and whose value
+    and parameter are ``record.f`` and ``record.mu``.
 
     Fires only when the unit step left a steep slope (the curvature
     condition fails at the trial point) while the regularization already sat
@@ -242,23 +242,23 @@ def wolfe_extension_step(
     direction and the iterate moves by ``(1 + alpha) * d``. A failed search
     falls back to the already-accepted unit step and the run continues.
 
-    Returns ``(x, f, g, s, alpha, ls_failed)``: the new iterate, its value
-    and gradient, the step ``s`` to it from the previous iterate, the
-    extension's step length (None when it did not fire or failed), and
-    whether its search failed.
+    Returns ``(x, g, s, record)``: the new iterate, its gradient, the step
+    ``s`` to it from ``state.x``, and ``record`` with the new value and the
+    extension's step length, or marked ``ls_failed``, or as it came when
+    the extension did not fire.
     """
     # The floor test costs one comparison, so it goes first and the two dot
     # products are taken only when it holds.
-    if mu_used != state.config.mu_min:
-        return x_unit, f_unit, g_unit, d, None, False
+    if record.mu != state.config.mu_min:
+        return x_unit, g_unit, d, record
     d_dot_unit = float(d.dot(g_unit))
     if not d_dot_unit < state.config.c2 * float(d.dot(state.g)):
-        return x_unit, f_unit, g_unit, d, None, False
+        return x_unit, g_unit, d, record
     try:
-        alpha, x_new, f_new, g_new = _wolfe_ray(state, x_unit, d, f_unit, d_dot_unit)
+        alpha, x_new, f_new, g_new = _wolfe_ray(state, x_unit, d, record.f, d_dot_unit)
     except (LineSearchError, NumericalBreakdownError):
-        return x_unit, f_unit, g_unit, d, None, True
-    return x_new, f_new, g_new, (1.0 + alpha) * d, alpha, False
+        return x_unit, g_unit, d, record._replace(ls_failed=True)
+    return x_new, g_new, (1.0 + alpha) * d, record._replace(f=f_new, alpha=alpha)
 
 
 def _line_search_step(state):
@@ -269,31 +269,26 @@ def _line_search_step(state):
     if not -math.inf < dphi0 < 0.0:
         raise NumericalBreakdownError(f"not a finite descent direction: d'g = {dphi0!r}")
     alpha, x, f, g = _wolfe_ray(state, state.x, d, state.f, dphi0)
-    return x, f, g, alpha * d, alpha, False, 0.0, None, f
+    return x, g, alpha * d, TraceRecord(f, 0.0, None, alpha, f)
 
 
-def _regularized_step(state, extend=False):
-    """rlbfgs: the regularized unit step that passes the ratio test; with
-    ``extend`` (rlbfgs-sw), extended by a Wolfe search at the mu floor."""
-    x, d, mu, f, ratio = accept_step_rlbfgs(state)
+def _regularized_step(state):
+    """rlbfgs: the regularized unit step that passes the ratio test."""
+    x, d, record = accept_step_rlbfgs(state)
     # One gradient evaluation per accepted step; it serves the extension
     # trigger, the new curvature pair, and the next iteration alike.
-    g = evaluate(state.objective, x, state.counters, "gradient")
-    if extend:
-        return (*wolfe_extension_step(state, x, d, f, g, mu), mu, ratio, f)
-    return x, f, g, d, None, False, mu, ratio, f
+    return x, evaluate(state.objective, x, state.counters, "gradient"), d, record
 
 
 def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
     """The iteration loop of every solver.
 
-    ``take_step(state)`` chooses the step and returns
-    ``(x, f, g, s, alpha, ls_failed, mu, ratio, f_unit)``: the next iterate,
-    the curvature step ``s`` to it, and what the trace records
-    (``alpha`` is None without a search, ``mu`` is the regularization the
-    step was taken at, ``f_unit`` the value before any extension). This loop
-    owns set-up, termination, the pair store and its scale, and the trace;
-    a termination decision and any :class:`SolverError` both end the run in
+    ``take_step(state)`` chooses the step and returns ``(x, g, s, record)``:
+    the next iterate, its gradient, the curvature step ``s`` to it, and the
+    step's :class:`TraceRecord`, which carries the new value. This loop
+    owns set-up, termination, the pair store and its scale, and the trace,
+    to which it adds each record with its own fields filled in; a
+    termination decision and any :class:`SolverError` both end the run in
     its one report.
     """
     config = config or SolverConfig()
@@ -311,23 +306,14 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
         state.g = evaluate(objective, x, counters, "gradient")
         state.gamma = initial_scale(state.g)
         while (status := check_termination(state.g, state.x, counters, config)) is None:
-            x, f, g, s, alpha, ls_failed, mu, ratio, f_unit = take_step(state)
+            x, g, s, record = take_step(state)
             # A dropped pair leaves the newest pair, and so the scale, as it was.
             if state.history.push(s, g - state.g):
                 state.gamma = gamma_scale(state.history.newest)
             if trace is not None:
-                trace.append(TraceRecord(
-                    k=state.k,
-                    mu=mu,
-                    ratio=ratio,
-                    gnorm=float(np.linalg.norm(state.g)),
-                    alpha=alpha,
-                    nf=counters.n_f,
-                    f=f,
-                    f_unit=f_unit,
-                    ls_failed=ls_failed,
-                ))
-            state.x, state.f, state.g = x, f, g
+                trace.append(record._replace(
+                    k=state.k, gnorm=float(np.linalg.norm(state.g)), nf=counters.n_f))
+            state.x, state.f, state.g = x, record.f, g
             state.k += 1
     except SolverError as exc:
         status = exc.status
@@ -380,7 +366,7 @@ def solve_rlbfgs_sw(
     """Regularized L-BFGS that extends accepted steps by a strong Wolfe
     search when the unit step is detectably short."""
     return _run(objective, x0, config, trace, "rlbfgs-sw",
-                partial(_regularized_step, extend=True))
+                lambda state: wolfe_extension_step(state, *_regularized_step(state)))
 
 
 SOLVERS: Dict[str, Callable[..., RunReport]] = {

@@ -231,7 +231,8 @@ RECORD_ROW = "beale:2,rlbfgs,Converged,16,14,13,0.01,2.1e-06\n"
     (RECORD_ROW, ["--tau", "0.5"]),
     (RECORD_ROW, ["--tau", "nan,2"]),
     (RECORD_ROW * 2, []),  # a repeated (problem, solver) record
-], ids=["tau-below-one", "tau-nan", "duplicate-record"])
+    ("beale:2,lbfgs,Converged,10\n", []),  # a row with fields missing
+], ids=["tau-below-one", "tau-nan", "duplicate-record", "short-row"])
 def test_profile_bad_input_is_usage_error(tmp_path, capsys, rows, extra):
     records_path = tmp_path / "records.csv"
     records_path.write_text(RECORD_HEADER + rows)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,8 @@ def test_profile_curves_monotone_and_bounded(rng):
 def test_records_csv_round_trip(tmp_path):
     records = run_batch(SMALL, ["rlbfgs", "lbfgs"])
     path = tmp_path / "records.csv"
-    write_records(records, path)
+    with open(path, "w", newline="") as handle:
+        write_records(records, handle)
     loaded = read_records(path)
     assert loaded == records
 
@@ -201,4 +204,18 @@ def test_read_records_rejects_missing_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("problem,solver\nrosenbrock:2,rlbfgs\n")
     with pytest.raises(ValueError):
+        read_records(path)
+
+
+HEADER = "problem,solver,status,n_f,n_g,iterations,wall_time,final_residual\n"
+
+
+@pytest.mark.parametrize("row", [
+    "beale:2,lbfgs,Converged,10\n",
+    "beale:2,lbfgs,Converged,10,9,8,0.01,2e-06,extra\n",
+], ids=["short-row", "long-row"])
+def test_read_records_rejects_rows_of_the_wrong_length(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + "beale:2,rlbfgs,Converged,10,9,8,0.01,2e-06\n" + row)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 8 fields")):
         read_records(path)

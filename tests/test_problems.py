@@ -10,8 +10,6 @@ from regulus.problems import (
     registry,
 )
 
-from conftest import gradient_check_error
-
 
 def test_registry_size_and_families():
     problems = registry()
@@ -157,14 +155,6 @@ def test_finite_differences_rejects_bad_step():
     objective = Objective(dim=1, value=lambda x: 0.0, gradient=lambda x: np.zeros(1))
     with pytest.raises(ValueError):
         finite_difference_gradient(objective, np.zeros(1), 0.0)
-
-
-@pytest.mark.parametrize("problem", registry(), ids=lambda p: p.name)
-def test_gradient_consistency(problem, rng):
-    assert gradient_check_error(problem, problem.x0) <= 1e-6
-    for _ in range(10):
-        x = problem.x0 + rng.standard_normal(problem.dimension)
-        assert gradient_check_error(problem, x) <= 1e-6
 
 
 @pytest.mark.parametrize(

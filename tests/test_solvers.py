@@ -16,6 +16,7 @@ from regulus.problems import get_problem, registry
 from regulus.solvers import (
     SOLVERS,
     IterateState,
+    TraceRecord,
     accept_step_rlbfgs,
     solve_lbfgs,
     solve_rlbfgs,
@@ -58,7 +59,7 @@ def test_accept_step_exact_quadratic_accepts_first_trial():
     objective = quadratic_objective(2.0 * np.ones(2))
     config = SolverConfig()
     state, counters = fresh_state(objective, [3.0, 4.0], config)
-    x, d, mu, f, ratio = accept_step_rlbfgs(state)
+    x, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
     assert state.inner == 0
     assert mu == config.mu0
     assert ratio == pytest.approx(1.0)
@@ -76,7 +77,7 @@ def test_accept_step_two_trial_script():
     objective = Objective(dim=1, value=value, gradient=lambda x: np.array([1.0]))
     config = SolverConfig()
     state, counters = fresh_state(objective, [0.0], config)
-    x, d, mu, f, ratio = accept_step_rlbfgs(state)
+    x, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
     assert state.inner == 1
     assert mu == 10.0
     assert f == 1.0 - 1.0 / 44.0
@@ -92,7 +93,7 @@ def test_accept_step_owns_mu_and_window(diag):
     config = SolverConfig()
     state, counters = fresh_state(objective, [3.0, 4.0], config)
     f_before = state.f
-    x, d, mu, f, ratio = accept_step_rlbfgs(state)
+    x, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
     assert state.mu == update_mu(mu, ratio, config)
     assert state.fwindow[-1] == f_before
 
@@ -199,6 +200,14 @@ def test_accept_step_budget_exhaustion_mid_loop():
 
 # --- the Wolfe step extension ----------------------------------------------
 
+def extend(state, x_unit, d, f_unit, g_unit, mu_used):
+    """:func:`wolfe_extension_step` after the unit step ``d`` to ``x_unit``,
+    taken at ``mu_used``; returns ``(x, f, g, s, alpha, ls_failed)``."""
+    x, g, s, record = wolfe_extension_step(
+        state, x_unit, g_unit, d, TraceRecord(f_unit, mu_used, None, None, f_unit))
+    return x, record.f, g, s, record.alpha, record.ls_failed
+
+
 def test_extension_trigger_requires_mu_at_floor():
     objective = quadratic_objective(np.ones(1))
     state = IterateState(objective, np.array([10.0]), SolverConfig())
@@ -206,7 +215,7 @@ def test_extension_trigger_requires_mu_at_floor():
     counters = state.counters
     x_unit = np.array([9.901])
     d = np.array([-0.099])
-    x, f, g, s, alpha, ls_failed = wolfe_extension_step(
+    x, f, g, s, alpha, ls_failed = extend(
         state, x_unit, d, f_unit=objective.value(x_unit), g_unit=np.array([9.901]),
         mu_used=1.0,
     )
@@ -227,7 +236,7 @@ def test_extension_scripted_short_step():
     x_unit = state.x + d
     f_unit = objective.value(x_unit)
     g_unit = objective.gradient(x_unit)
-    x_new, f, g, s, alpha, ls_failed = wolfe_extension_step(
+    x_new, f, g, s, alpha, ls_failed = extend(
         state, x_unit, d, f_unit=f_unit, g_unit=g_unit, mu_used=config.mu_min,
     )
     assert not ls_failed
@@ -252,7 +261,7 @@ def test_extension_failure_falls_back_to_unit_step():
     counters = state.counters
     x_unit = np.array([1.0])
     d = np.array([1.0])
-    x, f, g, s, alpha, ls_failed = wolfe_extension_step(
+    x, f, g, s, alpha, ls_failed = extend(
         state, x_unit, d, f_unit=-1.0, g_unit=np.array([-1.0]), mu_used=config.mu_min,
     )
     assert ls_failed
@@ -277,7 +286,7 @@ def test_extension_gives_up_on_broken_probes_and_falls_back():
     counters = state.counters
     x_unit = np.array([1.0])
     d = np.array([1.0])
-    x, f, g, s, alpha, ls_failed = wolfe_extension_step(
+    x, f, g, s, alpha, ls_failed = extend(
         state, x_unit, d, f_unit=-1.0, g_unit=np.array([-1.0]), mu_used=config.mu_min,
     )
     assert ls_failed
