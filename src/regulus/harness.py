@@ -184,13 +184,15 @@ def read_records(path: Union[str, Path]) -> List[RunRecord]:
         if missing:
             raise ValueError(f"records file is missing columns: {sorted(missing)}")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             # DictReader fills a short row with None and keys extra fields None.
             if None in row or None in row.values():
-                raise ValueError(f"{path}:{reader.line_num}: expected "
-                                 f"{len(reader.fieldnames)} fields")
-            records.append(RunRecord(
-                **{name: _COLUMN_TYPES[name](row[name]) for name in CSV_FIELDS}
-            ))
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+            try:
+                cells = {name: _COLUMN_TYPES[name](row[name]) for name in CSV_FIELDS}
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            records.append(RunRecord(**cells))
     return records
 
 

@@ -4,6 +4,10 @@ Each family exposes the customary starting point from the numerical
 optimization test-set literature; dimensions are constructor arguments where
 the family scales. A central-difference gradient oracle is included for
 consistency checks.
+
+The families that are run at large n (rosenbrock, trigonometric, penalty1,
+engval1) evaluate into workspaces kept by the problem instance, so one
+instance must not be called from two threads at once.
 """
 
 from __future__ import annotations
@@ -30,17 +34,30 @@ def _rosenbrock(n: int):
     """Extended Rosenbrock, separable pairs; start alternates (-1.2, 1)."""
     if n % 2:
         raise ValueError("rosenbrock requires even n >= 2")
+    a, b = np.empty(n // 2), np.empty(n // 2)
 
     def value(x):
+        # sum(100 (v - u^2)^2 + (1 - u)^2)
         u, v = x[0::2], x[1::2]
-        return float((100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2).sum())
+        np.square(u, out=a)
+        np.subtract(v, a, out=a)
+        np.square(a, out=a)
+        np.multiply(100.0, a, out=a)
+        np.subtract(1.0, u, out=b)
+        np.square(b, out=b)
+        return float(np.add(a, b, out=a).sum())
 
     def gradient(x):
+        # t = v - u^2; g_u = -400 u t - 2 (1 - u), g_v = 200 t
         u, v = x[0::2], x[1::2]
-        t = v - u**2
+        t = np.subtract(v, np.square(u, out=a), out=a)
         g = np.empty_like(x)
-        g[0::2] = -400.0 * u * t - 2.0 * (1.0 - u)
-        g[1::2] = 200.0 * t
+        gu = np.multiply(-400.0, u, out=g[0::2])
+        np.multiply(gu, t, out=gu)
+        np.subtract(1.0, u, out=b)
+        np.multiply(2.0, b, out=b)
+        np.subtract(gu, b, out=gu)
+        np.multiply(200.0, t, out=g[1::2])
         return g
 
     return np.tile([-1.2, 1.0], n // 2), value, gradient, 0.0
@@ -144,17 +161,29 @@ def _dixon_price(n: int):
 def _trigonometric(n: int):
     """Trigonometric system of n residuals; start is the uniform 1/n point."""
     idx = np.arange(1.0, n + 1.0)
+    c, s, r = np.empty(n), np.empty(n), np.empty(n)
 
-    def _residuals(c, s):
-        return n - c.sum() + idx * (1.0 - c) - s
+    def _residuals(x):
+        # c = cos x, s = sin x, r = n - sum(c) + idx (1 - c) - s
+        np.cos(x, out=c)
+        np.sin(x, out=s)
+        np.subtract(1.0, c, out=r)
+        np.multiply(idx, r, out=r)
+        np.add(n - c.sum(), r, out=r)
+        return np.subtract(r, s, out=r)
 
     def value(x):
-        return float((_residuals(np.cos(x), np.sin(x)) ** 2).sum())
+        return float(np.square(_residuals(x), out=r).sum())
 
     def gradient(x):
-        c, s = np.cos(x), np.sin(x)
-        r = _residuals(c, s)
-        return 2.0 * (s * r.sum() + r * (idx * s - c))
+        # 2 (s sum(r) + r (idx s - c))
+        _residuals(x)
+        g = np.multiply(s, r.sum())
+        np.multiply(idx, s, out=s)
+        np.subtract(s, c, out=s)
+        np.multiply(r, s, out=s)
+        np.add(g, s, out=g)
+        return np.multiply(2.0, g, out=g)
 
     return np.full(n, 1.0 / n), value, gradient, 0.0
 
@@ -162,12 +191,20 @@ def _trigonometric(n: int):
 def _penalty1(n: int):
     """Penalty function with a tiny regularizer pulling toward all-ones."""
     a = 1e-5
+    w = np.empty(n)
 
     def value(x):
-        return float(a * ((x - 1.0) ** 2).sum() + ((x * x).sum() - 0.25) ** 2)
+        # a sum((x - 1)^2) + (sum(x x) - 0.25)^2
+        np.subtract(x, 1.0, out=w)
+        shift = np.square(w, out=w).sum()
+        return float(a * shift + (np.multiply(x, x, out=w).sum() - 0.25) ** 2)
 
     def gradient(x):
-        return 2.0 * a * (x - 1.0) + 4.0 * ((x * x).sum() - 0.25) * x
+        # 2 a (x - 1) + 4 (sum(x x) - 0.25) x
+        scale = 4.0 * (np.multiply(x, x, out=w).sum() - 0.25)
+        g = np.subtract(x, 1.0)
+        np.multiply(2.0 * a, g, out=g)
+        return np.add(g, np.multiply(scale, x, out=w), out=g)
 
     return np.arange(1.0, n + 1.0), value, gradient, None
 
@@ -211,16 +248,29 @@ def _beale(n: int):
 def _engval1(n: int):
     if n < 2:
         raise ValueError("engval1 requires n >= 2")
+    t, w = np.empty(n - 1), np.empty(n - 1)
+
+    def _pair_sums(x):
+        # t = x[:-1]^2 + x[1:]^2
+        np.square(x[:-1], out=t)
+        return np.add(t, np.square(x[1:], out=w), out=t)
 
     def value(x):
-        t = x[:-1] ** 2 + x[1:] ** 2
-        return float((t * t).sum() + (-4.0 * x[:-1] + 3.0).sum())
+        # sum(t t) + sum(-4 x[:-1] + 3)
+        _pair_sums(x)
+        quartic = np.multiply(t, t, out=t).sum()
+        np.multiply(-4.0, x[:-1], out=w)
+        return float(quartic + np.add(w, 3.0, out=w).sum())
 
     def gradient(x):
-        t = x[:-1] ** 2 + x[1:] ** 2
+        # g[:-1] += 4 x[:-1] t - 4, g[1:] += 4 x[1:] t
+        _pair_sums(x)
         g = np.zeros_like(x)
-        g[:-1] += 4.0 * x[:-1] * t - 4.0
-        g[1:] += 4.0 * x[1:] * t
+        np.multiply(4.0, x[:-1], out=w)
+        np.multiply(w, t, out=w)
+        np.add(g[:-1], np.subtract(w, 4.0, out=w), out=g[:-1])
+        np.multiply(4.0, x[1:], out=w)
+        np.add(g[1:], np.multiply(w, t, out=w), out=g[1:])
         return g
 
     return 2.0 * np.ones(n), value, gradient, None

@@ -130,6 +130,72 @@ def gradient_check_error(problem, x):
     return np.max(np.abs(fd - g)) / max(1.0, np.max(np.abs(g)))
 
 
+# The bundled objectives that evaluate in workspaces, written as plain numpy
+# expressions: regulus.problems must match them to the last bit.
+def _rosenbrock_value(x):
+    u, v = x[0::2], x[1::2]
+    return float((100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2).sum())
+
+
+def _rosenbrock_gradient(x):
+    u, v = x[0::2], x[1::2]
+    t = v - u**2
+    g = np.empty_like(x)
+    g[0::2] = -400.0 * u * t - 2.0 * (1.0 - u)
+    g[1::2] = 200.0 * t
+    return g
+
+
+def _trigonometric_residuals(c, s):
+    n = c.size
+    return n - c.sum() + np.arange(1.0, n + 1.0) * (1.0 - c) - s
+
+
+def _trigonometric_value(x):
+    return float((_trigonometric_residuals(np.cos(x), np.sin(x)) ** 2).sum())
+
+
+def _trigonometric_gradient(x):
+    c, s = np.cos(x), np.sin(x)
+    r = _trigonometric_residuals(c, s)
+    return 2.0 * (s * r.sum() + r * (np.arange(1.0, x.size + 1.0) * s - c))
+
+
+_PENALTY1_A = 1e-5
+
+
+def _penalty1_value(x):
+    a = _PENALTY1_A
+    return float(a * ((x - 1.0) ** 2).sum() + ((x * x).sum() - 0.25) ** 2)
+
+
+def _penalty1_gradient(x):
+    a = _PENALTY1_A
+    return 2.0 * a * (x - 1.0) + 4.0 * ((x * x).sum() - 0.25) * x
+
+
+def _engval1_value(x):
+    t = x[:-1] ** 2 + x[1:] ** 2
+    return float((t * t).sum() + (-4.0 * x[:-1] + 3.0).sum())
+
+
+def _engval1_gradient(x):
+    t = x[:-1] ** 2 + x[1:] ** 2
+    g = np.zeros_like(x)
+    g[:-1] += 4.0 * x[:-1] * t - 4.0
+    g[1:] += 4.0 * x[1:] * t
+    return g
+
+
+# family -> (value, gradient)
+REFERENCE_OBJECTIVES = {
+    "rosenbrock": (_rosenbrock_value, _rosenbrock_gradient),
+    "trigonometric": (_trigonometric_value, _trigonometric_gradient),
+    "penalty1": (_penalty1_value, _penalty1_gradient),
+    "engval1": (_engval1_value, _engval1_gradient),
+}
+
+
 def mixed_sign_pair(rng, n):
     """Random (s, y) with either sign of s'y, s nonzero."""
     while True:

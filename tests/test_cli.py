@@ -243,6 +243,20 @@ def test_profile_bad_input_is_usage_error(tmp_path, capsys, rows, extra):
     assert not profile_path.exists()
 
 
+@pytest.mark.parametrize("row", [
+    "beale:2,lbfgs,Converged,x,9,8,0.01,2e-06\n",
+    "beale:2,lbfgs,Done,10,9,8,0.01,2e-06\n",
+], ids=["bad-count", "bad-status"])
+def test_profile_bad_value_is_usage_error_naming_its_line(tmp_path, capsys, row):
+    records_path = tmp_path / "records.csv"
+    records_path.write_text(RECORD_HEADER + row)
+    profile_path = tmp_path / "profile.csv"
+    code = main(["profile", "--in", str(records_path), "--out", str(profile_path)])
+    assert code == 2
+    assert f"error: {records_path}:2: " in capsys.readouterr().err
+    assert not profile_path.exists()
+
+
 def test_profile_empty_intersection_exit_code(tmp_path, capsys):
     records_path = tmp_path / "records.csv"
     main([

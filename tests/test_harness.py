@@ -219,3 +219,14 @@ def test_read_records_rejects_rows_of_the_wrong_length(tmp_path, row):
     path.write_text(HEADER + "beale:2,rlbfgs,Converged,10,9,8,0.01,2e-06\n" + row)
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected 8 fields")):
         read_records(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("beale:2,lbfgs,Converged,x,9,8,0.01,2e-06\n", "invalid literal for int()"),
+    ("beale:2,lbfgs,Done,10,9,8,0.01,2e-06\n", "'Done' is not a valid Status"),
+], ids=["bad-count", "bad-status"])
+def test_read_records_names_the_line_of_a_bad_value(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + "beale:2,rlbfgs,Converged,10,9,8,0.01,2e-06\n" + row)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+        read_records(path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import REFERENCE_OBJECTIVES
 from regulus.core import Objective
 from regulus.problems import (
     ProblemDef,
@@ -173,3 +174,54 @@ def test_nonpositive_dimension_is_rejected_for_every_family():
         for n in (0, -1):
             with pytest.raises(ValueError, match="dimension must be positive"):
                 make_problem(family, n)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _in_place_starts(family, n, rng):
+    """Labelled points where an in-place objective must match its reference:
+    the standard start, a jittered one, the ``@10`` and ``@100`` starts, and
+    random points."""
+    x0 = make_problem(family, n).x0
+    yield "x0", x0
+    yield "jittered", x0 * (1.0 + rng.uniform(-0.05, 0.05, n))
+    for scale in ("10", "100"):
+        yield f"@{scale}", get_problem(f"{family}:{n}@{scale}").x0
+    yield "normal", rng.standard_normal(n)
+    yield "wide", 1e3 * rng.standard_normal(n)
+
+
+_IN_PLACE_SIZES = [
+    (family, n)
+    for family in REFERENCE_OBJECTIVES
+    for n in ({"rosenbrock": 2, "engval1": 2}.get(family, 1), 1000, 50_000)
+]
+
+
+@pytest.mark.parametrize("family, n", _IN_PLACE_SIZES, ids=str)
+def test_in_place_objective_matches_reference_bitwise(family, n, rng):
+    objective = make_problem(family, n).objective
+    value, gradient = REFERENCE_OBJECTIVES[family]
+    for label, x in _in_place_starts(family, n, rng):
+        assert _bits(objective.value(x)) == _bits(value(x)), label
+        assert np.array_equal(_bits(objective.gradient(x)), _bits(gradient(x))), label
+
+
+@pytest.mark.parametrize("family, n", _IN_PLACE_SIZES, ids=str)
+def test_in_place_objective_leaves_its_inputs_and_results_alone(family, n, rng):
+    objective = make_problem(family, n).objective
+    x, other = rng.standard_normal(n), rng.standard_normal(n)
+    x_bits = _bits(x).copy()
+    f, g = objective.value(x), objective.gradient(x)
+    g_bits = _bits(g).copy()
+    # A call at another point, value and gradient interleaved, reuses the
+    # workspaces but neither the returned gradient nor x.
+    g_other = objective.gradient(other)
+    objective.value(other)
+    assert not np.shares_memory(g, g_other)
+    assert np.array_equal(_bits(g), g_bits)
+    assert np.array_equal(_bits(x), x_bits)
+    assert _bits(objective.value(x)) == _bits(f)
+    assert np.array_equal(_bits(objective.gradient(x)), g_bits)
