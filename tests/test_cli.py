@@ -56,8 +56,9 @@ def test_solve_bad_param_is_usage_error(capsys):
 
 
 def test_params_reach_the_solver_exactly(monkeypatch, capsys):
-    # Integers are read as integers: 2**53 + 1 is no float, and the largest
-    # memory m the config allows is accepted by -p as by the constructor.
+    # Integers are read as integers: 2**53 + 1 is no float, the largest
+    # memory m the config allows is accepted by -p as by the constructor,
+    # and an integral 5.0 reaches the solver as the int 5.
     configs = []
 
     def capture(objective, x0, config, trace=None):
@@ -67,8 +68,10 @@ def test_params_reach_the_solver_exactly(monkeypatch, capsys):
     monkeypatch.setitem(SOLVERS, "rlbfgs", capture)
     assert main(["solve", "beale", "-p", "max_fevals=9007199254740993"]) == 0
     assert main(["solve", "beale", "-p", f"m={sys.maxsize}"]) == 0
+    assert main(["solve", "beale", "-p", "m=5.0"]) == 0
     assert configs[0].max_fevals == 9007199254740993
     assert configs[1].m == sys.maxsize
+    assert type(configs[2].m) is int and configs[2].m == 5
 
 
 @pytest.mark.parametrize("argv", [
@@ -83,12 +86,14 @@ def test_params_reach_the_solver_exactly(monkeypatch, capsys):
     ["beale", "-p", "alpha_floor=1e-8"],
     ["beale", "-p", "grad_tol=inf"],
     ["beale", "-p", "gamma2=inf"],
+    ["beale", "-p", "m=5.5"],
 ], ids=["m-inf", "max_fevals-overflow", "m-huge", "M-huge", "dimension-zero",
         "scale-zero", "scale-nan", "mu_max-inf", "alpha_floor-gone", "grad_tol-inf",
-        "gamma2-inf"])
+        "gamma2-inf", "m-fraction"])
 def test_solve_out_of_range_input_is_usage_error(argv, monkeypatch, capsys):
-    # Non-finite or oversized integers and empty problems are usage errors,
-    # not an OverflowError or ZeroDivisionError traceback or an empty solve.
+    # Non-finite, fractional or oversized integers and empty problems are
+    # usage errors, not an OverflowError or ZeroDivisionError traceback or
+    # an empty solve.
     monkeypatch.setitem(SOLVERS, "rlbfgs", _no_solve)
     assert main(["solve", *argv]) == 2
     assert "error" in capsys.readouterr().err
@@ -275,9 +280,10 @@ def test_profile_empty_intersection_exit_code(tmp_path, capsys):
 
 
 def _cli_process(argv, stdout):
-    """``python -m regulus *argv`` on this checkout's sources."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    """``python -m regulus *argv`` on the ``regulus`` these tests imported,
+    whether a source tree or an installed package."""
+    root = str(Path(regulus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
     return subprocess.Popen([sys.executable, "-m", "regulus", *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE)
 
