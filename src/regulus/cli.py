@@ -101,8 +101,8 @@ def cmd_profile(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (KeyError, ValueError, OSError) as exc:
-        # A tau below 1 and a repeated (problem, solver) record are
-        # ValueErrors of performance_profile.
+        # A tau below 1 or not finite and a repeated (problem, solver) record
+        # are ValueErrors of performance_profile.
         return _usage_error(args, exc)
     with out:
         write_profile(curves, out)
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--in", dest="input", required=True, help="records CSV path")
     p_profile.add_argument("--metric", choices=("nf", "time"), default="nf")
     p_profile.add_argument("--out", required=True, help="profile CSV path")
-    p_profile.add_argument("--tau", help="comma list of tau grid values (>= 1)")
+    p_profile.add_argument("--tau", help="comma list of finite tau grid values (>= 1)")
     p_profile.add_argument("--union", action="store_true",
                            help="rank over problems solved by at least one solver")
     p_profile.set_defaults(func=cmd_profile, parser=p_profile)

@@ -278,18 +278,32 @@ def evaluate(
     raise ValueError(f"unknown evaluation request: {what!r}")
 
 
+def norm(v: Vector) -> float:
+    """``sqrt(v'v)`` of a 1-D array; inf or NaN when an entry is not finite.
+
+    When ``v'v`` overflows although every entry is finite, the norm is taken
+    on ``v`` scaled by its largest entry. A finite ``v'v`` proves every entry
+    finite, so only an overflowed or NaN one needs the scan.
+    """
+    vnorm = math.sqrt(v.dot(v))
+    if math.isfinite(vnorm) or not np.all(np.isfinite(v)):
+        return vnorm
+    scale = float(np.abs(v).max())
+    u = v / scale
+    return scale * math.sqrt(u.dot(u))
+
+
 def scaled_gradient_norm(gradient: Vector, point: Vector) -> float:
     """Gradient norm scaled by max(1, ||x||); inf when the gradient is bad."""
     # np.linalg.norm of a vector is sqrt(v'v) over its contiguous ravel, so
-    # this is bitwise the same (a strided dot may round differently). A
-    # finite norm proves every entry finite; only an overflowed or NaN norm
-    # needs the exact scan.
+    # this is bitwise the same wherever v'v does not overflow (a strided dot
+    # may round differently).
     g = np.asarray(gradient, dtype=float).ravel()
     x = np.asarray(point, dtype=float).ravel()
-    gnorm = math.sqrt(g.dot(g))
-    if not math.isfinite(gnorm) and not np.all(np.isfinite(g)):
+    gnorm = norm(g)
+    if not math.isfinite(gnorm):
         return math.inf
-    return gnorm / max(1.0, math.sqrt(x.dot(x)))
+    return gnorm / max(1.0, norm(x))
 
 
 def check_termination(

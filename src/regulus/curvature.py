@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import NumericalBreakdownError, Vector
+from .core import NumericalBreakdownError, Vector, norm
 
 # Least curvature s'y/||s||^2 a pair needs for the s'y/||y||^2 scale.
 ALPHA_FLOOR = 1e-8
@@ -106,17 +106,10 @@ def initial_scale(g: Vector) -> float:
     first step of Liu & Nocedal 1989). A gradient with ``||g|| <= 1``,
     including a zero one, keeps the scale 1.
 
-    When ``g'g`` overflows although every entry is finite, the norm is
-    taken on ``g`` scaled by its largest entry, which keeps the scale
-    positive."""
-    gnorm = math.sqrt(g.dot(g))
-    if gnorm <= 1.0:
-        return 1.0
-    if math.isfinite(gnorm):
-        return 1.0 / gnorm
-    scale = float(np.abs(g).max())
-    u = g / scale
-    return 1.0 / scale / math.sqrt(u.dot(u))
+    The overflow-safe :func:`~regulus.core.norm` keeps the scale positive
+    when ``g'g`` overflows although every entry is finite."""
+    gnorm = norm(g)
+    return 1.0 if gnorm <= 1.0 else 1.0 / gnorm
 
 
 def gamma_scale(last_pair: CurvaturePair) -> float:

@@ -123,8 +123,9 @@ def performance_profile(
     """
     if metric not in ("n_f", "wall_time"):
         raise ValueError(f"unsupported metric: {metric!r}")
-    if not tau_grid or any(not t >= 1.0 for t in tau_grid):  # NaN too
-        raise ValueError("tau grid values must be >= 1")
+    # inf would count a failed run, whose cost is inf, as solved; NaN fails too
+    if not tau_grid or any(not 1.0 <= t < float("inf") for t in tau_grid):
+        raise ValueError("tau grid values must be finite and >= 1")
     solvers = sorted({r.solver for r in records})
     by_problem: Dict[str, Dict[str, RunRecord]] = {}
     for record in records:

@@ -32,6 +32,7 @@ from .core import (
     Vector,
     check_termination,
     evaluate,
+    norm,
     scaled_gradient_norm,
 )
 from .curvature import PairHistory, gamma_scale, initial_scale, two_loop_direction
@@ -312,7 +313,7 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
                 state.gamma = gamma_scale(state.history.newest)
             if trace is not None:
                 trace.append(record._replace(
-                    k=state.k, gnorm=float(np.linalg.norm(state.g)), nf=counters.n_f))
+                    k=state.k, gnorm=norm(state.g.ravel()), nf=counters.n_f))
             state.x, state.f, state.g = x, record.f, g
             state.k += 1
     except SolverError as exc:

@@ -211,6 +211,13 @@ def test_termination_scaled_residual():
     assert scaled_gradient_norm(g, x) == 1e-6
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scaled_residual_when_squares_overflow():
+    # Every entry is finite although x'x, and here g'g too, overflow.
+    assert scaled_gradient_norm(np.array([1e200]), np.array([1e210])) == pytest.approx(1e-10)
+    assert scaled_gradient_norm(np.array([1e152]), np.array([1e155])) == pytest.approx(1e-3)
+
+
 def test_termination_scale_correct_below_unit_ball(rng):
     # for ||x|| <= 1 the test reduces exactly to ||g|| < grad_tol
     cfg = SolverConfig()

@@ -16,7 +16,7 @@ import hashlib
 
 import pytest
 
-from regulus import SOLVERS, SolverConfig, get_problem
+from regulus import SOLVERS, SolverConfig, get_problem, registry
 
 # (problem, solver, status, n_f, n_g, iterations, inner_iterations, final_residual.hex())
 GOLDEN = [
@@ -136,3 +136,24 @@ def test_golden_traces_cover_the_extension():
     assert any(r.alpha is not None for r in fired)
     failed = _trace("penalty1:100", "rlbfgs-sw", TRACE_CONFIGS["max_ls_iters=2"])
     assert any(r.ls_failed for r in failed)
+
+
+# (start scale, SHA-256 prefix over the ``_outcome`` row of every registry
+# cell from that far start under every solver). Moré, Garbow & Hillstrom's
+# far starts; at x100 the search's bracketing phase runs longest.
+GOLDEN_FAR_STARTS = [
+    (10, "9592e5a2b8934236"),
+    (100, "1343c5bd7e260577"),
+]
+
+
+@pytest.mark.parametrize("row", GOLDEN_FAR_STARTS, ids=lambda row: str(row[0]))
+def test_golden_far_starts(row):
+    scale, digest = row
+    h = hashlib.sha256()
+    for problem in registry():
+        for solver in SOLVERS:
+            outcome = _outcome(f"{problem.name}@{scale}", solver, SolverConfig())
+            assert outcome[2] == "Converged", outcome
+            h.update(f"{outcome}\n".encode())
+    assert h.hexdigest()[:16] == digest

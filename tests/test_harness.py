@@ -83,24 +83,24 @@ def test_batch_propagates_objective_exceptions():
 
 
 def test_profile_two_solver_example():
-    # times: p1 -> (2, 4), p2 -> (6, 3); best (2, 3)
+    # n_f: p1 -> (2, 4), p2 -> (6, 3); best (2, 3)
     # ratios: s1 -> (1, 2), s2 -> (2, 1); cost within tau*best counts
+    # wall_time ranks p1 the other way: p1 -> (0.75, 0.25), p2 -> (0.5, 0.5)
+    # ratios: s1 -> (3, 1), s2 -> (1, 1)
     records = [
-        record("p1", "s1", n_f=2),
-        record("p1", "s2", n_f=4),
-        record("p2", "s1", n_f=6),
-        record("p2", "s2", n_f=3),
+        record("p1", "s1", n_f=2, wall_time=0.75),
+        record("p1", "s2", n_f=4, wall_time=0.25),
+        record("p2", "s1", n_f=6, wall_time=0.5),
+        record("p2", "s2", n_f=3, wall_time=0.5),
     ]
-    curves = {
-        c.solver: dict(c.points)
-        for c in performance_profile(records, "n_f", (1.0, 2.0, 3.0))
-    }
-    assert curves["s1"][1.0] == 0.5
-    assert curves["s1"][2.0] == 1.0
-    assert curves["s1"][3.0] == 1.0
-    assert curves["s2"][1.0] == 0.5
-    assert curves["s2"][2.0] == 1.0
-    assert curves["s2"][3.0] == 1.0
+    for metric, expected in [
+        ("n_f", {"s1": (0.5, 1.0, 1.0), "s2": (0.5, 1.0, 1.0)}),
+        ("wall_time", {"s1": (0.5, 0.5, 1.0), "s2": (1.0, 1.0, 1.0)}),
+    ]:
+        curves = performance_profile(records, metric, (1.0, 2.0, 3.0))
+        assert {c.solver: c.points for c in curves} == {
+            s: tuple(zip((1.0, 2.0, 3.0), f)) for s, f in expected.items()
+        }
 
 
 def test_profile_single_solver_is_self_best():
@@ -166,6 +166,8 @@ def test_profile_rejects_duplicates_and_bad_grid():
         performance_profile(records, "n_f", (1.0,))
     with pytest.raises(ValueError):
         performance_profile([record("p1", "s1")], "n_f", (0.5,))
+    with pytest.raises(ValueError):
+        performance_profile([record("p1", "s1")], "n_f", (1.0, float("inf")))
     with pytest.raises(ValueError):
         performance_profile([record("p1", "s1")], "iterations", (1.0,))
 

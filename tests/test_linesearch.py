@@ -180,3 +180,17 @@ def test_giving_up_after_a_non_finite_probe_is_a_breakdown():
         strong_wolfe_search(*probe, C1, C2, 3)
     assert type(info.value) is LineSearchError
     assert calls == [1.0, 0.5, 0.25]
+
+
+def test_first_trial_is_judged_by_sufficient_decrease_alone():
+    # c1 * dphi0 is lost against phi0, so the unit step ties phi(0) exactly
+    # and still passes sufficient decrease; with a zero slope it is accepted
+    # at once rather than treated as an overshoot.
+    calls = []
+
+    def evaluator(alpha):
+        calls.append(alpha)
+        return 1.0, 0.0
+
+    assert strong_wolfe_search(evaluator, 1.0, -1e-17, C1, C2, 20) == (1.0, 1.0, 0.0)
+    assert calls == [1.0]
