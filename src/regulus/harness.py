@@ -8,11 +8,12 @@ curves used to compare solvers.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import (
-    Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union, get_type_hints,
-)
+from typing import Iterable, List, Optional, Sequence, TextIO, Tuple, Union, get_type_hints
+
+import numpy as np
 
 from .core import RunReport, SolverConfig, Status
 from .problems import ProblemDef
@@ -37,6 +38,13 @@ class RunRecord:
     iterations: int
     wall_time: float
     final_residual: float
+
+    def __post_init__(self) -> None:
+        for name in ("n_f", "n_g", "iterations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.wall_time < math.inf:
+            raise ValueError(f"wall_time must be finite and >= 0, got {self.wall_time!r}")
 
     @classmethod
     def from_report(cls, problem: str, report: RunReport) -> "RunRecord":
@@ -126,45 +134,29 @@ def performance_profile(
     # inf would count a failed run, whose cost is inf, as solved; NaN fails too
     if not tau_grid or any(not 1.0 <= t < float("inf") for t in tau_grid):
         raise ValueError("tau grid values must be finite and >= 1")
+    row = {p: i for i, p in enumerate(sorted({r.problem for r in records}))}
     solvers = sorted({r.solver for r in records})
-    by_problem: Dict[str, Dict[str, RunRecord]] = {}
-    for record in records:
-        cell = by_problem.setdefault(record.problem, {})
-        if record.solver in cell:
-            raise ValueError(f"duplicate record for ({record.problem}, {record.solver})")
-        cell[record.solver] = record
-
-    costs: Dict[str, Dict[str, float]] = {}
-    for problem, cell in by_problem.items():
-        solved = {
-            s: r for s, r in cell.items() if r.status is Status.CONVERGED
-        }
-        if union:
-            if not solved:
-                continue
-        else:
-            if len(solved) != len(solvers):
-                continue
-        costs[problem] = {
-            s: (getattr(cell[s], metric) if s in solved else float("inf"))
-            for s in solvers
-        }
-    if not costs:
+    column = {s: j for j, s in enumerate(solvers)}
+    # A cell is the converged run's cost, inf for a failed run, NaN for no run.
+    cost = np.full((len(row), len(solvers)), np.nan)
+    for r in records:
+        cell = row[r.problem], column[r.solver]
+        if not np.isnan(cost[cell]):
+            raise ValueError(f"duplicate record for ({r.problem}, {r.solver})")
+        cost[cell] = getattr(r, metric) if r.status is Status.CONVERGED else np.inf
+    solved = np.isfinite(cost)
+    cost = cost[solved.any(axis=1) if union else solved.all(axis=1)]
+    if not len(cost):
         raise EmptyIntersectionError("no problem was solved by all selected solvers")
 
-    taus = sorted(float(t) for t in tau_grid)
-    best = {p: min(c.values()) for p, c in costs.items()}
-    total = len(costs)
-    curves = []
-    for solver in solvers:
-        points = []
-        for tau in taus:
-            hits = sum(
-                1 for p in costs if costs[p][solver] <= tau * best[p]
-            )
-            points.append((tau, hits / total))
-        curves.append(ProfileCurve(solver=solver, points=tuple(points)))
-    return curves
+    taus = sorted({float(t) for t in tau_grid})
+    best = np.nanmin(cost, axis=1, keepdims=True)
+    # tau * best, not cost / best <= tau: the quotient rounds differently.
+    hits = [np.count_nonzero(cost <= tau * best, axis=0) for tau in taus]
+    return [
+        ProfileCurve(s, tuple((tau, int(h[j]) / len(cost)) for tau, h in zip(taus, hits)))
+        for j, s in enumerate(solvers)
+    ]
 
 
 def write_records(records: Iterable[RunRecord], handle: TextIO) -> None:
@@ -191,9 +183,9 @@ def read_records(path: Union[str, Path]) -> List[RunRecord]:
                 raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
             try:
                 cells = {name: _COLUMN_TYPES[name](row[name]) for name in CSV_FIELDS}
+                records.append(RunRecord(**cells))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            records.append(RunRecord(**cells))
     return records
 
 

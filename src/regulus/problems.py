@@ -278,29 +278,29 @@ def _engval1(n: int):
 
 _Builder = Callable[[int], Tuple[Vector, Callable, Callable, Optional[float]]]
 
-# family -> (builder, default dimension, dimensions bundled in the registry)
-_FAMILIES: Dict[str, Tuple[_Builder, int, Tuple[int, ...]]] = {
-    "rosenbrock": (_rosenbrock, 2, (2, 100, 1000)),
-    "powell-singular": (_powell_singular, 100, (100, 1000)),
-    "quadratic-diag": (_quadratic_diag, 100, (100, 1000)),
-    "quadratic-ill": (_quadratic_ill, 100, (100, 1000)),
-    "hilbert": (_hilbert, 10, (10,)),
-    "dixon-price": (_dixon_price, 100, (100, 1000)),
-    "trigonometric": (_trigonometric, 100, (100, 1000)),
-    "penalty1": (_penalty1, 100, (100,)),
-    "two-well": (_two_well, 100, (100, 1000)),
-    "beale": (_beale, 2, (2,)),
-    "engval1": (_engval1, 100, (100, 1000)),
+# family -> (builder, dimensions bundled in the registry, the first the default)
+_FAMILIES: Dict[str, Tuple[_Builder, Tuple[int, ...]]] = {
+    "rosenbrock": (_rosenbrock, (2, 100, 1000)),
+    "powell-singular": (_powell_singular, (100, 1000)),
+    "quadratic-diag": (_quadratic_diag, (100, 1000)),
+    "quadratic-ill": (_quadratic_ill, (100, 1000)),
+    "hilbert": (_hilbert, (10,)),
+    "dixon-price": (_dixon_price, (100, 1000)),
+    "trigonometric": (_trigonometric, (100, 1000)),
+    "penalty1": (_penalty1, (100,)),
+    "two-well": (_two_well, (100, 1000)),
+    "beale": (_beale, (2,)),
+    "engval1": (_engval1, (100, 1000)),
 }
 
 
 def make_problem(family: str, n: Optional[int] = None) -> ProblemDef:
-    """Instantiate a problem family at dimension ``n`` (family default if None)."""
+    """Instantiate a problem family at dimension ``n`` (if None, its first registry one)."""
     try:
-        builder, default_n, _ = _FAMILIES[family]
+        builder, dims = _FAMILIES[family]
     except KeyError:
         raise KeyError(f"unknown problem family: {family!r}") from None
-    dim = default_n if n is None else n
+    dim = dims[0] if n is None else n
     if dim < 1:
         raise ValueError(f"problem dimension must be positive, got {dim}")
     x0, value, gradient, f_star = builder(dim)
@@ -319,8 +319,9 @@ def get_problem(label: str) -> ProblemDef:
 
     The scale multiplies the standard start; an all-zero start becomes
     ``scale`` in every coordinate (Moré, Garbow & Hillstrom 1981). The name
-    keeps the ``@scale`` suffix. A scale that is not finite and positive, or
-    a scaled start that overflows, is a ``ValueError``.
+    keeps an ``@scale`` suffix that spells the scale one way: ``@10``,
+    ``@10.0`` and ``@1e1`` all name ``@10``. A scale that is not finite and
+    positive, or a scaled start that overflows, is a ``ValueError``.
     """
     base, at, scale_text = label.partition("@")
     family, sep, dim = base.partition(":")
@@ -343,13 +344,13 @@ def get_problem(label: str) -> ProblemDef:
         x0 = scale * problem.x0 if np.any(problem.x0) else np.full(problem.dimension, scale)
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"scaled start is not finite in {label!r}")
-    return problem._replace(name=f"{problem.name}@{scale_text}", x0=x0)
+    return problem._replace(name=f"{problem.name}@{repr(scale).removesuffix('.0')}", x0=x0)
 
 
 def registry() -> List[ProblemDef]:
     """The bundled benchmark suite, every family at its standard dimensions."""
     problems = []
-    for family, (_, _, dims) in _FAMILIES.items():
+    for family, (_, dims) in _FAMILIES.items():
         for n in dims:
             problems.append(make_problem(family, n))
     return problems

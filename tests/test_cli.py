@@ -198,6 +198,47 @@ def test_bench_profile_pipeline(tmp_path, capsys):
     lines = profile_path.read_text().splitlines()
     assert lines[0] == "solver,tau,fraction"
     assert len(lines) == 1 + 2 * 3
+    assert all(0.0 <= float(line.split(",")[2]) <= 1.0 for line in lines[1:])
+
+
+def _bench(tmp_path, name, problems, solvers):
+    path = tmp_path / name
+    assert main(["bench", "--problems", problems, "--solvers", solvers, "--out", str(path)]) == 0
+    return path.read_text()
+
+
+def test_profile_of_a_missing_cell(tmp_path, capsys):
+    # beale has no rlbfgs record: intersection drops it, --union charges it inf.
+    both = _bench(tmp_path, "both.csv", "rosenbrock:2", "lbfgs,rlbfgs")
+    one = _bench(tmp_path, "one.csv", "beale", "lbfgs")
+    records_path = tmp_path / "records.csv"
+    records_path.write_text(both + one.split("\n", 1)[1])
+    profile_path = tmp_path / "profile.csv"
+    fractions = {}
+    for extra in ([], ["--union"]):
+        argv = ["profile", "--in", str(records_path), "--out", str(profile_path), "--tau", "1e9"]
+        assert main(argv + extra) == 0
+        fractions[tuple(extra)] = profile_path.read_text().splitlines()[1:]
+    assert fractions[()] == ["lbfgs,1000000000.0,1.0", "rlbfgs,1000000000.0,1.0"]
+    assert fractions[("--union",)] == ["lbfgs,1000000000.0,1.0", "rlbfgs,1000000000.0,0.5"]
+
+
+def test_profile_union_on_time(tmp_path, capsys):
+    records_path = tmp_path / "records.csv"
+    records_path.write_text(
+        "problem,solver,status,n_f,n_g,iterations,wall_time,final_residual\n"
+        "p1,a,Converged,9,9,8,0.5,1e-06\n"
+        "p1,b,Converged,1,1,1,1.0,1e-06\n"
+        "p2,a,Converged,9,9,8,0.25,1e-06\n"
+        "p2,b,EvalBudgetExceeded,1,1,1,0.25,1e-06\n"
+    )
+    profile_path = tmp_path / "profile.csv"
+    argv = ["profile", "--in", str(records_path), "--out", str(profile_path),
+            "--union", "--metric", "time", "--tau", "2,1,2"]
+    assert main(argv) == 0
+    assert profile_path.read_text().splitlines() == [
+        "solver,tau,fraction", "a,1.0,1.0", "a,2.0,1.0", "b,1.0,0.0", "b,2.0,0.5",
+    ]
 
 
 def test_bench_unknown_solver_is_usage_error(capsys):
@@ -209,6 +250,7 @@ def test_bench_unknown_solver_is_usage_error(capsys):
     ("beale,beale", "lbfgs"),
     ("beale,beale:2", "lbfgs"),
     ("beale", "lbfgs,lbfgs"),
+    ("beale@10,beale@1e1", "lbfgs"),
 ])
 def test_bench_repeated_cell_is_usage_error(tmp_path, monkeypatch, capsys, problems, solvers):
     # A repeated (problem, solver) cell would write records that profile
@@ -252,7 +294,9 @@ def test_profile_bad_input_is_usage_error(tmp_path, capsys, rows, extra):
 @pytest.mark.parametrize("row", [
     "beale:2,lbfgs,Converged,x,9,8,0.01,2e-06\n",
     "beale:2,lbfgs,Done,10,9,8,0.01,2e-06\n",
-], ids=["bad-count", "bad-status"])
+    "beale:2,lbfgs,Converged,-2,9,8,0.01,2e-06\n",
+    "beale:2,lbfgs,Converged,10,9,8,nan,2e-06\n",
+], ids=["bad-count", "bad-status", "negative-count", "nan-time"])
 def test_profile_bad_value_is_usage_error_naming_its_line(tmp_path, capsys, row):
     records_path = tmp_path / "records.csv"
     records_path.write_text(RECORD_HEADER + row)

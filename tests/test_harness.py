@@ -17,6 +17,41 @@ from regulus.harness import (
 from regulus.problems import get_problem
 
 
+def reference_profile(records, metric, tau_grid, union):
+    """The per-problem dict form of the profile, one branch for union and
+    one for intersection. `performance_profile` must match it exactly."""
+    solvers = sorted({r.solver for r in records})
+    by_problem = {}
+    for r in records:
+        cell = by_problem.setdefault(r.problem, {})
+        assert r.solver not in cell
+        cell[r.solver] = r
+    costs = {}
+    for problem, cell in by_problem.items():
+        solved = {s: r for s, r in cell.items() if r.status is Status.CONVERGED}
+        if union:
+            if not solved:
+                continue
+        else:
+            if len(solved) != len(solvers):
+                continue
+        costs[problem] = {
+            s: (getattr(cell[s], metric) if s in solved else float("inf"))
+            for s in solvers
+        }
+    if not costs:
+        return None
+    taus = sorted(float(t) for t in tau_grid)
+    best = {p: min(c.values()) for p, c in costs.items()}
+    return [
+        ProfileCurve(s, tuple(
+            (tau, sum(1 for p in costs if costs[p][s] <= tau * best[p]) / len(costs))
+            for tau in taus
+        ))
+        for s in solvers
+    ]
+
+
 def record(problem, solver, status=Status.CONVERGED, n_f=10, wall_time=1.0):
     return RunRecord(
         problem=problem,
@@ -193,6 +228,36 @@ def test_profile_curves_monotone_and_bounded(rng):
             assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
 
+def test_profile_matches_the_reference(rng):
+    # Missing cells, failed runs, ties, both metrics, union and intersection,
+    # and a repeated tau, which the profile counts once.
+    statuses = [Status.CONVERGED] * 3 + [Status.EVAL_BUDGET_EXCEEDED]
+    compared = 0
+    for _ in range(400):
+        solvers = [f"s{j}" for j in range(int(rng.integers(1, 5)))]
+        records = [
+            record(f"p{i}", s, statuses[rng.integers(len(statuses))],
+                   n_f=int(rng.integers(0, 2**52)) if rng.random() < 0.2 else int(rng.integers(0, 9)),
+                   wall_time=float(rng.choice([0.0, 0.5, 1.0, 1e6, rng.random()])))
+            for i in range(int(rng.integers(0, 8)))
+            for s in solvers
+            if rng.random() > 0.15
+        ]
+        taus = rng.choice([1.0, 1.25, 1.5, 2.0, 3.0], size=int(rng.integers(1, 6))).tolist()
+        for metric in ("n_f", "wall_time"):
+            for union in (False, True):
+                expected = reference_profile(records, metric, sorted(set(taus)), union)
+                if expected is None:
+                    with pytest.raises(EmptyIntersectionError):
+                        performance_profile(records, metric, taus, union)
+                    continue
+                curves = performance_profile(records, metric, taus, union)
+                assert curves == expected
+                assert all(type(v) is float for c in curves for point in c.points for v in point)
+                compared += 1
+    assert compared > 400
+
+
 def test_records_csv_round_trip(tmp_path):
     records = run_batch(SMALL, ["rlbfgs", "lbfgs"])
     path = tmp_path / "records.csv"
@@ -226,7 +291,13 @@ def test_read_records_rejects_rows_of_the_wrong_length(tmp_path, row):
 @pytest.mark.parametrize("row, message", [
     ("beale:2,lbfgs,Converged,x,9,8,0.01,2e-06\n", "invalid literal for int()"),
     ("beale:2,lbfgs,Done,10,9,8,0.01,2e-06\n", "'Done' is not a valid Status"),
-], ids=["bad-count", "bad-status"])
+    ("beale:2,lbfgs,Converged,-2,9,8,0.01,2e-06\n", "n_f must be >= 0, got -2"),
+    ("beale:2,lbfgs,Converged,10,9,8,nan,2e-06\n", "wall_time must be finite and >= 0, got nan"),
+    ("beale:2,lbfgs,Converged,10,9,-1,0.01,2e-06\n", "iterations must be >= 0, got -1"),
+    ("beale:2,lbfgs,Converged,10,9,8,inf,2e-06\n", "wall_time must be finite and >= 0, got inf"),
+    ("beale:2,lbfgs,Converged,10,9,8,-0.5,2e-06\n", "wall_time must be finite and >= 0, got -0.5"),
+], ids=["bad-count", "bad-status", "negative-count", "nan-time", "negative-iterations",
+        "inf-time", "negative-time"])
 def test_read_records_names_the_line_of_a_bad_value(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     path.write_text(HEADER + "beale:2,rlbfgs,Converged,10,9,8,0.01,2e-06\n" + row)

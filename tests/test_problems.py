@@ -103,6 +103,9 @@ def test_start_scale_in_label():
     assert far.dimension == base.dimension
     assert np.array_equal(far.x0, 100.0 * base.x0)
     assert get_problem("beale@10").name == "beale:2@10"
+    # one start, one name, however the scale is spelled
+    assert get_problem("beale@10.0").name == get_problem("beale@1e1").name == "beale:2@10"
+    assert get_problem("beale@0.5").name == "beale:2@0.5"
     assert np.array_equal(get_problem("beale@0.5").x0, [0.5, 0.5])
 
 
