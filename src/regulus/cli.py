@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from typing import List, Optional
 
-from .core import SolverConfig, Status, config_entry, read_config_file
+from .core import SolverConfig, Status, config_entry, read_config_file, strict_json
 from .harness import (
     DEFAULT_TAU_GRID,
     EmptyIntersectionError,
@@ -66,7 +65,7 @@ def cmd_solve(args) -> int:
         report = SOLVERS[args.solver](problem.objective, problem.x0, config, trace=trace)
         for record in trace or ():
             trace_file.write(record.to_json() + "\n")
-    print(json.dumps(report.to_dict(), indent=2))
+    print(strict_json(report.to_dict(), indent=2))
     return 0 if report.status is Status.CONVERGED else 1
 
 

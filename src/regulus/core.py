@@ -7,6 +7,7 @@ configuration (with its file format), run reports, and the termination rule.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -238,6 +239,21 @@ class RunReport:
             "wall_time": self.wall_time,
             "solver_name": self.solver_name,
         }
+
+
+def strict_json(record: Mapping[str, object], indent: Optional[int] = None) -> str:
+    """``record`` as strict JSON (RFC 8259), which has no NaN or Infinity.
+
+    A non-finite float becomes the string ``"inf"``, ``"-inf"`` or
+    ``"nan"``, as the records CSV spells it and as ``float()`` reads it
+    back; ``None`` stays ``null``. The report and the trace are written
+    through this one rule.
+    """
+    safe = {
+        key: repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+        for key, v in record.items()
+    }
+    return json.dumps(safe, indent=indent, allow_nan=False)
 
 
 def evaluate(

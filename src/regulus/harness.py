@@ -23,7 +23,8 @@ DEFAULT_TAU_GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0)
 
 
 class EmptyIntersectionError(Exception):
-    """No problem was solved by every selected solver."""
+    """No problem qualifies for a profile: none was solved by every selected
+    solver, or under ``union`` by any."""
 
 
 @dataclass(frozen=True)
@@ -145,14 +146,19 @@ def performance_profile(
             raise ValueError(f"duplicate record for ({r.problem}, {r.solver})")
         cost[cell] = getattr(r, metric) if r.status is Status.CONVERGED else np.inf
     solved = np.isfinite(cost)
-    cost = cost[solved.any(axis=1) if union else solved.all(axis=1)]
+    rows = solved.any(axis=1) if union else solved.all(axis=1)
+    cost, solved = cost[rows], solved[rows]
     if not len(cost):
-        raise EmptyIntersectionError("no problem was solved by all selected solvers")
+        who = "any selected solver" if union else "all selected solvers"
+        raise EmptyIntersectionError(f"no problem was solved by {who}")
 
     taus = sorted({float(t) for t in tau_grid})
     best = np.nanmin(cost, axis=1, keepdims=True)
     # tau * best, not cost / best <= tau: the quotient rounds differently.
-    hits = [np.count_nonzero(cost <= tau * best, axis=0) for tau in taus]
+    # Where the product overflows every solved cell is within it, and a
+    # failed cell (inf <= inf) must still not count.
+    with np.errstate(over="ignore"):
+        hits = [np.count_nonzero(solved & (cost <= tau * best), axis=0) for tau in taus]
     return [
         ProfileCurve(s, tuple((tau, int(h[j]) / len(cost)) for tau, h in zip(taus, hits)))
         for j, s in enumerate(solvers)

@@ -11,7 +11,6 @@ the regularization itself.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections import deque
@@ -34,6 +33,7 @@ from .core import (
     evaluate,
     norm,
     scaled_gradient_norm,
+    strict_json,
 )
 from .curvature import PairHistory, gamma_scale, initial_scale, two_loop_direction
 from .linesearch import strong_wolfe_search
@@ -98,7 +98,7 @@ class TraceRecord(NamedTuple):
         }
         if self.ls_failed:
             record["ls_failed"] = True
-        return json.dumps(record)
+        return strict_json(record)
 
 
 def model_reduction(gradient: Vector, d: Vector) -> float:

@@ -122,6 +122,26 @@ def test_solve_far_start(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "Converged"
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity, as RFC 8259 does."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_solve_report_is_strict_json(capsys):
+    # The start overflows the value to NaN and the scaled residual to inf.
+    code = main(["solve", "hilbert:10@1e300"])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert report["status"] == "NumericalBreakdown"
+    assert (report["final_f"], report["final_residual"]) == ("nan", "inf")
+    assert float(report["final_residual"]) == float("inf")
+
+
 def test_solve_trace_file(tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     code = main(["solve", "beale", "--trace", str(trace_path)])
@@ -241,6 +261,24 @@ def test_profile_union_on_time(tmp_path, capsys):
     ]
 
 
+def test_profile_tau_whose_product_overflows_never_counts_a_failed_run(tmp_path, capsys):
+    # 1e308 * 10 overflows to inf, which a failed cell's inf cost does not pass.
+    records_path = tmp_path / "records.csv"
+    records_path.write_text(
+        RECORD_HEADER
+        + "p,a,Converged,10,10,9,0.5,1e-06\n"
+        + "p,b,LineSearchFailure,10,10,9,0.5,1e-06\n"
+    )
+    profile_path = tmp_path / "profile.csv"
+    argv = ["profile", "--in", str(records_path), "--out", str(profile_path),
+            "--union", "--metric", "nf", "--tau", "1,1e308"]
+    assert main(argv) == 0
+    assert profile_path.read_text().splitlines() == [
+        "solver,tau,fraction", "a,1.0,1.0", "a,1e+308,1.0", "b,1.0,0.0", "b,1e+308,0.0",
+    ]
+    assert capsys.readouterr().err == ""
+
+
 def test_bench_unknown_solver_is_usage_error(capsys):
     assert main(["bench", "--solvers", "nope", "--out", "/tmp/x.csv"]) == 2
     assert "error: unknown solvers: ['nope']\n" in capsys.readouterr().err
@@ -322,6 +360,16 @@ def test_profile_empty_intersection_exit_code(tmp_path, capsys):
     ])
     assert code == 1
     assert "no problem" in capsys.readouterr().err
+
+
+def test_profile_empty_union_exit_code(tmp_path, capsys):
+    records_path = tmp_path / "records.csv"
+    records_path.write_text(RECORD_HEADER + "beale:2,lbfgs,LineSearchFailure,10,9,8,0.01,2e-06\n")
+    profile_path = tmp_path / "profile.csv"
+    code = main(["profile", "--in", str(records_path), "--out", str(profile_path), "--union"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no problem was solved by any selected solver\n"
+    assert not profile_path.exists()
 
 
 def _cli_process(argv, stdout):

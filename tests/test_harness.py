@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,26 @@ def test_profile_empty_intersection():
     ]
     with pytest.raises(EmptyIntersectionError):
         performance_profile(records, "n_f", (1.0,))
+
+
+def test_profile_never_counts_a_failed_run_when_tau_times_best_overflows():
+    # 1e308 * 10 overflows to inf, and a failed cell's cost is inf too.
+    records = [record("p", "a", n_f=10), record("p", "b", status=Status.LINE_SEARCH_FAILURE)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curves = performance_profile(records, "n_f", (1.0, 1e307, 1e308), union=True)
+    assert curves == [
+        ProfileCurve("a", ((1.0, 1.0), (1e307, 1.0), (1e308, 1.0))),
+        ProfileCurve("b", ((1.0, 0.0), (1e307, 0.0), (1e308, 0.0))),
+    ]
+
+
+def test_profile_empty_message_names_the_rule():
+    records = [record("p1", "s1", status=Status.LINE_SEARCH_FAILURE)]
+    with pytest.raises(EmptyIntersectionError, match="^no problem was solved by all selected solvers$"):
+        performance_profile(records, "n_f", (1.0,))
+    with pytest.raises(EmptyIntersectionError, match="^no problem was solved by any selected solver$"):
+        performance_profile(records, "n_f", (1.0,), union=True)
 
 
 def test_profile_rejects_duplicates_and_bad_grid():

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import deque
 
@@ -614,11 +615,25 @@ def test_trace_json_schema():
     problem = get_problem("rosenbrock:2")
     trace = []
     solve_rlbfgs_sw(problem.objective, problem.x0, trace=trace)
-    import json
-
     for record in trace:
         data = json.loads(record.to_json())
         assert set(data) >= {"k", "mu", "ratio", "gnorm", "alpha", "nf"}
+
+
+def test_trace_with_an_infinite_ratio_is_strict_json():
+    # The first trial falls from 1e308 to -1e308: the actual reduction, and
+    # with it the accepted ratio, overflows to inf.
+    objective = Objective(1, lambda x: 1e308 if x[0] == 1.0 else -1e308, lambda x: 2.0 * x)
+    trace = []
+    solve_rlbfgs(objective, np.array([1.0]), trace=trace)
+    assert trace[0].ratio == math.inf
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    lines = [json.loads(record.to_json(), parse_constant=reject) for record in trace]
+    assert lines[0]["ratio"] == "inf"
+    assert float(lines[0]["ratio"]) == math.inf
 
 
 def test_model_reduction_values():
