@@ -5,9 +5,9 @@ optimization test-set literature; dimensions are constructor arguments where
 the family scales. A central-difference gradient oracle is included for
 consistency checks.
 
-Rosenbrock, trigonometric and engval1 evaluate into workspaces kept by the
-problem instance, so one instance must not be called from two threads at
-once (README "Large n"); every other family is plain numpy.
+The families that are run at large n (rosenbrock, trigonometric, penalty1,
+engval1) evaluate into workspaces kept by the problem instance, so one
+instance must not be called from two threads at once.
 """
 
 from __future__ import annotations
@@ -191,12 +191,20 @@ def _trigonometric(n: int):
 def _penalty1(n: int):
     """Penalty function with a tiny regularizer pulling toward all-ones."""
     a = 1e-5
+    w = np.empty(n)
 
     def value(x):
-        return float(a * ((x - 1.0) ** 2).sum() + ((x * x).sum() - 0.25) ** 2)
+        # a sum((x - 1)^2) + (sum(x x) - 0.25)^2
+        np.subtract(x, 1.0, out=w)
+        shift = np.square(w, out=w).sum()
+        return float(a * shift + (np.multiply(x, x, out=w).sum() - 0.25) ** 2)
 
     def gradient(x):
-        return 2.0 * a * (x - 1.0) + 4.0 * ((x * x).sum() - 0.25) * x
+        # 2 a (x - 1) + 4 (sum(x x) - 0.25) x
+        scale = 4.0 * (np.multiply(x, x, out=w).sum() - 0.25)
+        g = np.subtract(x, 1.0)
+        np.multiply(2.0 * a, g, out=g)
+        return np.add(g, np.multiply(scale, x, out=w), out=g)
 
     return np.arange(1.0, n + 1.0), value, gradient, None
 

@@ -130,10 +130,8 @@ def gradient_check_error(problem, x):
     return np.max(np.abs(fd - g)) / max(1.0, np.max(np.abs(g)))
 
 
-# The three bundled objectives that evaluate in workspaces (rosenbrock,
-# trigonometric, engval1), written as plain numpy expressions:
-# regulus.problems must match them to the last bit. The other families are
-# plain numpy already, so a reference would compare an expression with itself.
+# The bundled objectives that evaluate in workspaces, written as plain numpy
+# expressions: regulus.problems must match them to the last bit.
 def _rosenbrock_value(x):
     u, v = x[0::2], x[1::2]
     return float((100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2).sum())
@@ -163,6 +161,19 @@ def _trigonometric_gradient(x):
     return 2.0 * (s * r.sum() + r * (np.arange(1.0, x.size + 1.0) * s - c))
 
 
+_PENALTY1_A = 1e-5
+
+
+def _penalty1_value(x):
+    a = _PENALTY1_A
+    return float(a * ((x - 1.0) ** 2).sum() + ((x * x).sum() - 0.25) ** 2)
+
+
+def _penalty1_gradient(x):
+    a = _PENALTY1_A
+    return 2.0 * a * (x - 1.0) + 4.0 * ((x * x).sum() - 0.25) * x
+
+
 def _engval1_value(x):
     t = x[:-1] ** 2 + x[1:] ** 2
     return float((t * t).sum() + (-4.0 * x[:-1] + 3.0).sum())
@@ -180,6 +191,7 @@ def _engval1_gradient(x):
 REFERENCE_OBJECTIVES = {
     "rosenbrock": (_rosenbrock_value, _rosenbrock_gradient),
     "trigonometric": (_trigonometric_value, _trigonometric_gradient),
+    "penalty1": (_penalty1_value, _penalty1_gradient),
     "engval1": (_engval1_value, _engval1_gradient),
 }
 
