@@ -105,8 +105,6 @@ def run_batch(
     config, apart from wall times. The selection must pass :func:`check_batch`.
     """
     check_batch(problems, solvers)
-    config = config or SolverConfig()
-
     records = [
         RunRecord.from_report(p.name, SOLVERS[s](p.objective, p.x0, config))
         for p in problems
@@ -201,4 +199,4 @@ def write_profile(curves: Iterable[ProfileCurve], handle: TextIO) -> None:
     writer.writerow(["solver", "tau", "fraction"])
     for curve in curves:
         for tau, fraction in curve.points:
-            writer.writerow([curve.solver, repr(tau), repr(fraction)])
+            writer.writerow([curve.solver, tau, fraction])

@@ -14,7 +14,6 @@ from typing import Callable, Tuple
 
 from .core import LineSearchError, NumericalBreakdownError
 
-ALPHA_MIN = 1e-20
 ALPHA_MAX = 1e20
 
 
@@ -22,8 +21,9 @@ def _cubic_minimizer(a, fa, dfa, b, fb, dfb):
     """Minimizer of the Hermite cubic through two value/slope samples at
     ``a != b``.
 
-    Returns None when the interpolant is degenerate or has no interior
-    minimizer; the caller falls back to bisection.
+    Returns None when the interpolant has no real critical point or its
+    denominator is zero; the caller falls back to bisection, as it does
+    when an infinite or NaN denominator gives an end point or NaN.
     """
     d1 = dfa + dfb - 3.0 * (fa - fb) / (a - b)
     disc = d1 * d1 - dfa * dfb
@@ -31,7 +31,7 @@ def _cubic_minimizer(a, fa, dfa, b, fb, dfb):
         return None
     d2 = math.copysign(math.sqrt(disc), b - a)
     denom = dfb - dfa + 2.0 * d2
-    if denom == 0.0 or not math.isfinite(denom):
+    if denom == 0.0:
         return None
     return b - (b - a) * (dfb + d2 - d1) / denom
 
@@ -55,7 +55,7 @@ def strong_wolfe_search(
 
     with ``alpha`` allowed to exceed 1. ``max_iters`` bounds the number of
     calls to ``phi``. Raises :class:`LineSearchError` when the budget runs
-    out, the bracket collapses below ``ALPHA_MIN``, or the trial step exceeds
+    out, the bracket's width vanishes, or the trial step exceeds
     ``ALPHA_MAX``, and :class:`NumericalBreakdownError` instead when the
     search gives up right after a probe whose value was not finite.
     """
@@ -86,8 +86,6 @@ def strong_wolfe_search(
         else:
             lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
             width = hi - lo
-            if hi < ALPHA_MIN:
-                give_up("bracket collapsed below alpha_min")
             if width <= 1e-12 * max(1.0, hi):
                 give_up("bracket width vanished without an acceptable step")
             alpha = _cubic_minimizer(a_lo, phi_lo, dphi_lo, a_hi, phi_hi, dphi_hi)

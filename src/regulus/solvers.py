@@ -47,7 +47,7 @@ class IterateState:
     the run's rejected trials."""
 
     __slots__ = ("objective", "config", "counters", "x", "f", "g", "mu", "history",
-                 "gamma", "fwindow", "k", "inner")
+                 "gamma", "fwindow", "inner")
 
     def __init__(self, objective: Objective, x: Vector, config: SolverConfig):
         self.objective = objective
@@ -60,7 +60,6 @@ class IterateState:
         self.history = PairHistory(config.m)
         self.gamma = 1.0
         self.fwindow = deque(maxlen=config.M + 1)
-        self.k = 0
         self.inner = 0
 
 
@@ -290,45 +289,48 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
     owns set-up, termination, the pair store and its scale, and the trace,
     to which it adds each record with its own fields filled in; a
     termination decision and any :class:`SolverError` both end the run in
-    its one report.
+    its one report. It owns numpy's floating-point error state too: inside
+    a run an overflow or invalid operation is neither printed nor raised.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
-    x = np.array(x0, dtype=float)
-    if x.ndim != 1 or x.size != objective.dim:
-        raise ValueError(f"x0 must be a vector of length {objective.dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-    # A breakdown at x0 reports x0, what was evaluated, and an inf residual.
-    state = IterateState(objective, x, config)
-    counters = state.counters
-    try:
-        state.f = evaluate(objective, x, counters, "value")
-        state.g = evaluate(objective, x, counters, "gradient")
-        state.gamma = initial_scale(state.g)
-        while (status := check_termination(state.g, state.x, counters, config)) is None:
-            x, g, s, record = take_step(state)
-            # A dropped pair leaves the newest pair, and so the scale, as it was.
-            if state.history.push(s, g - state.g):
-                state.gamma = gamma_scale(state.history.newest)
-            if trace is not None:
-                trace.append(record._replace(
-                    k=state.k, gnorm=norm(state.g.ravel()), nf=counters.n_f))
-            state.x, state.f, state.g = x, record.f, g
-            state.k += 1
-    except SolverError as exc:
-        status = exc.status
-    return RunReport(
-        status=status,
-        iterations=state.k,
-        inner_iterations=state.inner,
-        counters=counters,
-        final_f=state.f,
-        final_residual=scaled_gradient_norm(state.g, state.x),
-        wall_time=time.perf_counter() - t0,
-        solver_name=solver_name,
-        x=state.x,
-    )
+    with np.errstate(all="ignore"):
+        x = np.array(x0, dtype=float)
+        if x.ndim != 1 or x.size != objective.dim:
+            raise ValueError(f"x0 must be a vector of length {objective.dim}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x0 must be finite")
+        # A breakdown at x0 reports x0, what was evaluated, and an inf residual.
+        state = IterateState(objective, x, config)
+        counters = state.counters
+        k = 0
+        try:
+            state.f = evaluate(objective, x, counters, "value")
+            state.g = evaluate(objective, x, counters, "gradient")
+            state.gamma = initial_scale(state.g)
+            while (status := check_termination(state.g, state.x, counters, config)) is None:
+                x, g, s, record = take_step(state)
+                # A dropped pair leaves the newest pair, and so the scale, as it was.
+                if state.history.push(s, g - state.g):
+                    state.gamma = gamma_scale(state.history.newest)
+                if trace is not None:
+                    trace.append(record._replace(
+                        k=k, gnorm=norm(state.g.ravel()), nf=counters.n_f))
+                state.x, state.f, state.g = x, record.f, g
+                k += 1
+        except SolverError as exc:
+            status = exc.status
+        return RunReport(
+            status=status,
+            iterations=k,
+            inner_iterations=state.inner,
+            counters=counters,
+            final_f=state.f,
+            final_residual=scaled_gradient_norm(state.g, state.x),
+            wall_time=time.perf_counter() - t0,
+            solver_name=solver_name,
+            x=state.x,
+        )
 
 
 def solve_lbfgs(

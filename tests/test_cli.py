@@ -87,13 +87,20 @@ def test_params_reach_the_solver_exactly(monkeypatch, capsys):
     ["beale", "-p", "grad_tol=inf"],
     ["beale", "-p", "gamma2=inf"],
     ["beale", "-p", "m=5.5"],
+    ["powell-singular:6"],
+    ["quadratic-ill:10"],
+    ["hilbert:1"],
+    ["hilbert:65"],
+    ["dixon-price:1"],
+    ["engval1:1"],
 ], ids=["m-inf", "max_fevals-overflow", "m-huge", "M-huge", "dimension-zero",
         "scale-zero", "scale-nan", "mu_max-inf", "alpha_floor-gone", "grad_tol-inf",
-        "gamma2-inf", "m-fraction"])
+        "gamma2-inf", "m-fraction", "powell-singular-6", "quadratic-ill-10", "hilbert-1",
+        "hilbert-65", "dixon-price-1", "engval1-1"])
 def test_solve_out_of_range_input_is_usage_error(argv, monkeypatch, capsys):
-    # Non-finite, fractional or oversized integers and empty problems are
-    # usage errors, not an OverflowError or ZeroDivisionError traceback or
-    # an empty solve.
+    # Non-finite, fractional or oversized integers, empty problems and
+    # dimensions outside a family's range are usage errors, not an
+    # OverflowError or ZeroDivisionError traceback or an empty solve.
     monkeypatch.setitem(SOLVERS, "rlbfgs", _no_solve)
     assert main(["solve", *argv]) == 2
     assert "error" in capsys.readouterr().err
@@ -131,7 +138,6 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_solve_report_is_strict_json(capsys):
     # The start overflows the value to NaN and the scaled residual to inf.
     code = main(["solve", "hilbert:10@1e300"])
@@ -140,6 +146,29 @@ def test_solve_report_is_strict_json(capsys):
     assert report["status"] == "NumericalBreakdown"
     assert (report["final_f"], report["final_residual"]) == ("nan", "inf")
     assert float(report["final_residual"]) == float("inf")
+
+
+def test_far_starts_print_nothing_on_stderr(tmp_path):
+    # Each start overflows the objective at x0; the overflow ends as a status
+    # in the report, and numpy prints no RuntimeWarning on the way.
+    proc = _cli_process(["solve", "hilbert:10@1e300"], subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    report = _strict_json(out)
+    assert (proc.returncode, err) == (1, b"")
+    assert (report["status"], report["n_f"], report["n_g"]) == ("NumericalBreakdown", 1, 0)
+    assert (report["final_f"], report["final_residual"]) == ("nan", "inf")
+
+    records_path = tmp_path / "records.csv"
+    proc = _cli_process(["bench", "--problems", "rosenbrock:2@1e300,powell-singular:100@1e200",
+                         "--out", str(records_path)], subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert out == f"wrote 6 records to {records_path} (0 converged)\n".encode()
+    rows = [(r.problem, r.solver, r.status.value, r.n_f, r.n_g, r.iterations, r.final_residual)
+            for r in read_records(records_path)]
+    assert rows == [(problem, solver, "NumericalBreakdown", 1, 0, 0, float("inf"))
+                    for problem in ("powell-singular:100@1e+200", "rosenbrock:2@1e+300")
+                    for solver in ("lbfgs", "rlbfgs", "rlbfgs-sw")]
 
 
 def test_solve_trace_file(tmp_path, capsys):

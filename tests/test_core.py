@@ -173,6 +173,16 @@ def test_evaluate_rejects_dimension_mismatch():
         evaluate(obj, np.zeros(2), EvalCounter(), "value")
 
 
+def test_evaluate_rejects_an_unknown_request_and_charges_nothing():
+    def never(x):
+        raise AssertionError("an unknown request evaluated the objective")
+
+    counters = EvalCounter()
+    with pytest.raises(ValueError, match="unknown evaluation request: 'hessian'"):
+        evaluate(Objective(2, never, never), np.zeros(2), counters, "hessian")
+    assert (counters.n_f, counters.n_g) == (0, 0)
+
+
 @pytest.mark.parametrize("bad", [np.zeros(2), np.zeros(4), np.zeros((3, 1))],
                          ids=["short", "long", "matrix"])
 def test_evaluate_rejects_gradient_of_wrong_shape(bad):
@@ -228,6 +238,11 @@ def test_termination_scale_correct_below_unit_ball(rng):
         expected = float(np.linalg.norm(g)) < cfg.grad_tol
         decision = check_termination(g, x, EvalCounter(), cfg)
         assert (decision is Status.CONVERGED) == expected
+
+
+def test_termination_rejects_lengths_that_differ():
+    with pytest.raises(ValueError, match="lengths differ"):
+        check_termination(np.zeros(2), np.zeros(3), EvalCounter(), SolverConfig())
 
 
 def test_termination_rejects_nonfinite_gradient():

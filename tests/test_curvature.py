@@ -25,6 +25,11 @@ def test_fifo_eviction():
     assert stored == [2.0, 3.0]  # oldest first, first push evicted
 
 
+def test_history_needs_a_positive_capacity():
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        PairHistory(0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_push_rejects_degenerate_pairs():
     hist = PairHistory(2)

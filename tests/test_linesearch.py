@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regulus.core import LineSearchError, NumericalBreakdownError
-from regulus.linesearch import ALPHA_MAX, strong_wolfe_search
+from regulus.linesearch import ALPHA_MAX, _cubic_minimizer, strong_wolfe_search
 
 C1, C2 = 1e-4, 0.9
 
@@ -194,3 +194,19 @@ def test_first_trial_is_judged_by_sufficient_decrease_alone():
 
     assert strong_wolfe_search(evaluator, 1.0, -1e-17, C1, C2, 20) == (1.0, 1.0, 0.0)
     assert calls == [1.0]
+
+
+def test_cubic_without_a_real_critical_point_falls_back():
+    # Through (0, 0) with slope -1 and (1, -2/3) with slope -1, the Hermite
+    # cubic has a negative discriminant, so there is no minimizer to return.
+    assert _cubic_minimizer(0.0, 0.0, -1.0, 1.0, -2.0 / 3.0, -1.0) is None
+
+
+def test_collapsed_bracket_ends_by_its_width():
+    # The values rise although every slope reads descent: bisection halves
+    # the bracket [0, 1] until its width vanishes, long before the budget.
+    probe, calls = probe_from_scalar(lambda a: a, lambda a: -1.0)
+    with pytest.raises(LineSearchError, match="bracket width vanished"):
+        strong_wolfe_search(*probe, C1, C2, 100)
+    assert calls == [2.0 ** -i for i in range(len(calls))]
+    assert 1e-13 < calls[-1] <= 1e-12 < calls[-2]

@@ -21,8 +21,6 @@ from regulus.solvers import SOLVERS, solve_rlbfgs, solve_rlbfgs_sw
 
 from conftest import CountingObjective, faulty
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 FAULT_PROBLEMS = ("rosenbrock:2", "beale:2", "hilbert:10", "trigonometric:100",
                   "engval1:100", "two-well:100")
 CONFIGS = {"default": SolverConfig(), "max_ls_iters=2": SolverConfig(max_ls_iters=2)}

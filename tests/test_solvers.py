@@ -399,7 +399,6 @@ def test_lbfgs_tries_the_unit_step_once_a_pair_is_stored(monkeypatch):
     assert first_trials == [1.0] * report.iterations
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_lbfgs_first_step_with_overflowing_gradient_norm():
     # Every gradient entry is finite but g'g overflows: the first trial step
     # stays positive, the first probe moves by one, and the run ends in a
@@ -441,7 +440,6 @@ def test_regularized_first_step_is_not_rejected_from_a_steep_start(solve):
     assert (trace[0].nf, trace[0].mu) == (2, SolverConfig().mu0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("solve", [solve_lbfgs, solve_rlbfgs, solve_rlbfgs_sw])
 def test_start_whose_square_overflows_is_not_converged(solve):
     # ||x0||^2 overflows although x0 = 1e155 is finite; the scaled residual
@@ -452,7 +450,6 @@ def test_start_whose_square_overflows_is_not_converged(solve):
     assert report.final_residual == pytest.approx(1e-3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_trace_gnorm_when_its_square_overflows():
     # g'g overflows at x0 = (1, 1) although g0 = 1e155 * (1, 1) / sqrt(2) is finite.
     objective = Objective(2, lambda x: float((1e155 * np.sqrt(1.0 + x * x)).sum()),
