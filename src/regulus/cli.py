@@ -33,7 +33,7 @@ BROKEN_PIPE = 141
 def _build_config(args) -> SolverConfig:
     """The config file's entries, overridden by each ``-p``, validated once
     as a whole."""
-    data = read_config_file(args.config) if args.config else {}
+    data = read_config_file(args.config) if args.config is not None else {}
     data.update(config_entry(item, "-p") for item in args.param or [])
     return SolverConfig.from_mapping(data)
 
@@ -57,10 +57,10 @@ def cmd_solve(args) -> int:
         config = _build_config(args)
         problem = get_problem(args.problem)
         # Opened before the solve so that a bad path fails fast.
-        trace_file = open(args.trace, "w") if args.trace else contextlib.nullcontext()
+        trace_file = open(args.trace, "w") if args.trace is not None else contextlib.nullcontext()
     except (KeyError, ValueError, MemoryError, OSError) as exc:
         return _usage_error(args, exc)
-    trace = [] if args.trace else None
+    trace = [] if args.trace is not None else None
     with trace_file:
         report = SOLVERS[args.solver](problem.objective, problem.x0, config, trace=trace)
         for record in trace or ():
@@ -90,9 +90,7 @@ def cmd_bench(args) -> int:
 def cmd_profile(args) -> int:
     try:
         records = read_records(args.input)
-        tau_grid = (
-            [float(t) for t in args.tau.split(",")] if args.tau else DEFAULT_TAU_GRID
-        )
+        tau_grid = DEFAULT_TAU_GRID if args.tau is None else list(map(float, args.tau.split(",")))
         metric = {"nf": "n_f", "time": "wall_time"}[args.metric]
         curves = performance_profile(records, metric, tau_grid, union=args.union)
         out = open(args.out, "w", newline="")

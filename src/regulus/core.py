@@ -83,8 +83,11 @@ class EvalCounter:
 class Objective(NamedTuple):
     """Smooth objective with an analytic gradient.
 
-    ``value`` and ``gradient`` must be deterministic for a given point and
-    the gradient must return a vector of length ``dim``.
+    ``value`` and ``gradient`` must be deterministic for a given point,
+    and neither may modify its argument. The gradient must return a vector
+    of length ``dim`` that is a new array on each call: a solver keeps the
+    previous gradient, and one written into a reused buffer is a
+    ``ValueError``.
     """
 
     dim: int

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -22,42 +22,37 @@ from .core import NumericalBreakdownError, Vector, norm
 ALPHA_FLOOR = 1e-8
 
 
-class CurvaturePair(NamedTuple):
-    """One displacement/gradient-difference pair with cached inner products."""
+class CurvaturePair:
+    """One displacement/gradient-difference pair, its inner products ``sy``,
+    ``ss``, ``yy``, and its shift cache: the last ``mu`` that
+    :func:`two_loop_direction` shifted it for, with the shifted vector and
+    weight ``1 / s'y_shifted`` from :func:`shifted_curvature` at that ``mu``
+    (``None`` until the first shift). The cache is keyed on the exact value
+    of ``mu``, holds only finite weights, and leaves with its pair on
+    eviction, so a direction is bitwise the same as one from freshly shifted
+    pairs.
+    """
 
-    s: Vector
-    y: Vector
-    sy: float
-    ss: float
-    yy: float
+    __slots__ = ("s", "y", "sy", "ss", "yy", "mu", "y_shifted", "tau")
 
-    @classmethod
-    def from_vectors(cls, s: Vector, y: Vector) -> "CurvaturePair":
-        s = np.asarray(s, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return cls(s, y, float(s.dot(y)), float(s.dot(s)), float(y.dot(y)))
+    def __init__(self, s: Vector, y: Vector):
+        self.s = s = np.asarray(s, dtype=float)
+        self.y = y = np.asarray(y, dtype=float)
+        self.sy, self.ss, self.yy = float(s.dot(y)), float(s.dot(s)), float(y.dot(y))
+        self.mu = self.y_shifted = self.tau = None
 
 
 class PairHistory:
-    """FIFO window of the most recent curvature pairs, newest last.
-
-    Each slot is a list ``[pair, mu, y_shifted, tau]``: the pair with the
-    last ``mu`` that :func:`two_loop_direction` shifted it for, and the
-    shifted vector and weight ``1 / s'y_shifted`` from
-    :func:`shifted_curvature` at that ``mu`` (``None`` until the first
-    shift). The cache is keyed on the exact value of ``mu``, holds only
-    finite weights, and leaves with its pair on eviction, so a direction is
-    bitwise the same as one from freshly shifted pairs.
-    """
+    """FIFO window of the most recent curvature pairs, newest last."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("history capacity must be positive")
-        self._slots: deque[list] = deque(maxlen=capacity)
+        self._pairs: deque[CurvaturePair] = deque(maxlen=capacity)
 
     @property
     def newest(self) -> Optional[CurvaturePair]:
-        return self._slots[-1][0] if self._slots else None
+        return self._pairs[-1] if self._pairs else None
 
     def push(self, s: Vector, y: Vector) -> bool:
         """Append a pair, evicting the oldest when at capacity.
@@ -65,7 +60,7 @@ class PairHistory:
         Zero-displacement or non-finite pairs are dropped (returns False);
         the raw ``y`` is stored unshifted.
         """
-        pair = CurvaturePair.from_vectors(s, y)
+        pair = CurvaturePair(s, y)
         if pair.ss == 0.0:
             return False
         # Finite s's and y'y prove every entry finite; only an overflowed or
@@ -74,15 +69,15 @@ class PairHistory:
             np.all(np.isfinite(pair.s)) and np.all(np.isfinite(pair.y))
         ):
             return False
-        self._slots.append([pair, None, None, None])
+        self._pairs.append(pair)
         return True
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._pairs)
 
     def __iter__(self) -> Iterator[CurvaturePair]:
         """Iterate oldest to newest."""
-        return (slot[0] for slot in self._slots)
+        return iter(self._pairs)
 
 
 def shifted_curvature(pair: CurvaturePair, mu: float) -> Tuple[Vector, float]:
@@ -150,23 +145,23 @@ def two_loop_direction(
     neither the cache nor the buffer, because callers store it in the
     history as the next displacement.
     """
-    slots = history._slots
-    for slot in slots:
-        if slot[1] != mu:
-            y_shifted, s_ty = shifted_curvature(slot[0], mu)
+    pairs = history._pairs
+    for pair in pairs:
+        if pair.mu != mu:
+            y_shifted, s_ty = shifted_curvature(pair, mu)
             tau = 1.0 / s_ty if s_ty != 0.0 else math.inf
             if not math.isfinite(tau):
                 raise NumericalBreakdownError(f"non-finite curvature weight 1/{s_ty!r}")
-            slot[1:] = mu, y_shifted, tau
+            pair.mu, pair.y_shifted, pair.tau = mu, y_shifted, tau
     q = np.array(gradient, dtype=float)
     buf = np.empty_like(q)
     alphas = []
-    for pair, _, y_shifted, tau in reversed(slots):
-        a = tau * float(pair.s.dot(q))
-        q -= np.multiply(y_shifted, a, out=buf)
+    for pair in reversed(pairs):
+        a = pair.tau * float(pair.s.dot(q))
+        q -= np.multiply(pair.y_shifted, a, out=buf)
         alphas.append(a)
     r = np.multiply(q, gamma / (1.0 + gamma * mu), out=q)
-    for (pair, _, y_shifted, tau), a in zip(slots, reversed(alphas)):
-        beta = tau * float(y_shifted.dot(r))
+    for pair, a in zip(pairs, reversed(alphas)):
+        beta = pair.tau * float(pair.y_shifted.dot(r))
         r += np.multiply(pair.s, a - beta, out=buf)
     return np.negative(r, out=r)

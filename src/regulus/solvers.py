@@ -310,6 +310,9 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
             state.gamma = initial_scale(state.g)
             while (status := check_termination(state.g, state.x, counters, config)) is None:
                 x, g, s, record = take_step(state)
+                if g is state.g:
+                    raise ValueError("the objective's gradient must return a new array "
+                                     "on each call, not a reused buffer")
                 # A dropped pair leaves the newest pair, and so the scale, as it was.
                 if state.history.push(s, g - state.g):
                     state.gamma = gamma_scale(state.history.newest)

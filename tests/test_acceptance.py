@@ -87,7 +87,7 @@ def test_c02_descent_and_curvature_invariants(rng):
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         s, y = mixed_sign_pair(rng, n)
-        pair = CurvaturePair.from_vectors(s, y)
+        pair = CurvaturePair(s, y)
         negatives += pair.sy < 0.0
         mu = float(10.0 ** rng.uniform(-6, 3))
         _, s_ty = shifted_curvature(pair, mu)

@@ -93,10 +93,12 @@ def test_params_reach_the_solver_exactly(monkeypatch, capsys):
     ["hilbert:65"],
     ["dixon-price:1"],
     ["engval1:1"],
+    ["beale", "--trace", ""],
+    ["beale", "--config", ""],
 ], ids=["m-inf", "max_fevals-overflow", "m-huge", "M-huge", "dimension-zero",
         "scale-zero", "scale-nan", "mu_max-inf", "alpha_floor-gone", "grad_tol-inf",
         "gamma2-inf", "m-fraction", "powell-singular-6", "quadratic-ill-10", "hilbert-1",
-        "hilbert-65", "dixon-price-1", "engval1-1"])
+        "hilbert-65", "dixon-price-1", "engval1-1", "trace-empty", "config-empty"])
 def test_solve_out_of_range_input_is_usage_error(argv, monkeypatch, capsys):
     # Non-finite, fractional or oversized integers, empty problems and
     # dimensions outside a family's range are usage errors, not an
@@ -347,7 +349,8 @@ RECORD_ROW = "beale:2,rlbfgs,Converged,16,14,13,0.01,2.1e-06\n"
     (RECORD_ROW, ["--tau", "1,2,inf"]),
     (RECORD_ROW * 2, []),  # a repeated (problem, solver) record
     ("beale:2,lbfgs,Converged,10\n", []),  # a row with fields missing
-], ids=["tau-below-one", "tau-nan", "tau-inf", "duplicate-record", "short-row"])
+    (RECORD_ROW, ["--tau", ""]),
+], ids=["tau-below-one", "tau-nan", "tau-inf", "duplicate-record", "short-row", "tau-empty"])
 def test_profile_bad_input_is_usage_error(tmp_path, capsys, rows, extra):
     records_path = tmp_path / "records.csv"
     records_path.write_text(RECORD_HEADER + rows)

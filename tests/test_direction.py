@@ -5,10 +5,8 @@ import pytest
 
 from regulus.core import NumericalBreakdownError
 from regulus.curvature import (
-    CurvaturePair,
     PairHistory,
     gamma_scale,
-    initial_scale,
     shifted_curvature,
     two_loop_direction,
 )
@@ -53,57 +51,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except NumericalBreakdownError:
         return NumericalBreakdownError
-
-
-def test_gamma_from_last_pair():
-    pair = CurvaturePair.from_vectors([1.0, 0.0], [2.0, 0.0])
-    assert gamma_scale(pair) == 0.5
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_initial_scale_without_pair():
-    # min(1, 1/||g||): the scale until the store holds a pair
-    assert initial_scale(np.zeros(2)) == 1.0
-    assert initial_scale(np.array([0.6, 0.8])) == 1.0
-    assert initial_scale(np.array([3.0, 4.0])) == 0.2
-    # g'g overflows although every entry is finite
-    assert initial_scale(np.array([1e200, 1e200])) == pytest.approx(2 ** -0.5 * 1e-200)
-
-
-def test_gamma_fallback_branch():
-    pair = CurvaturePair.from_vectors([1.0, 0.0], [0.0, 1.0])  # s'y = 0
-    assert gamma_scale(pair) == 1e-8
-
-
-def test_gamma_zero_y_signals():
-    hist = PairHistory(1)
-    hist.push([1.0], [0.0])
-    with pytest.raises(NumericalBreakdownError):
-        gamma_scale(hist.newest)
-
-
-def test_gamma_always_positive(rng):
-    for _ in range(500):
-        n = int(rng.integers(1, 6))
-        s = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        pair = CurvaturePair.from_vectors(s, y)
-        if pair.ss == 0.0 or pair.yy == 0.0:
-            continue
-        assert gamma_scale(pair) > 0.0
-
-
-def test_initial_diag_values():
-    assert initial_diag(1.0, 0.0) == 1.0
-    assert initial_diag(0.5, 2.0) == 0.25
-
-
-def test_initial_diag_decreases_to_zero():
-    gamma = 1.0
-    values = [initial_diag(gamma, mu) for mu in (0.0, 1.0, 1e3, 1e9, 1e15)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert 0.0 < values[-1] <= 1e-15
-    assert all(0.0 < v <= gamma for v in values)
 
 
 def test_empty_history_is_scaled_steepest_descent():

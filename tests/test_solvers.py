@@ -335,6 +335,20 @@ def test_linear_objective_ends_in_a_report(solve, status):
     assert report.iterations == 0
 
 
+@pytest.mark.parametrize("solve", [solve_lbfgs, solve_rlbfgs, solve_rlbfgs_sw])
+def test_gradient_in_a_reused_buffer_is_rejected(solve):
+    # A gradient written into one buffer would overwrite the kept gradient,
+    # so every pair would have y = 0.
+    diag = np.arange(1.0, 11.0)
+    buf = np.empty(10)
+    objective = Objective(10, lambda x: 0.5 * float(x.dot(diag * x)),
+                          lambda x: np.multiply(diag, x, out=buf))
+    with pytest.raises(ValueError, match="new array on each call"):
+        solve(objective, np.ones(10))
+    fresh = Objective(10, objective.value, lambda x: diag * x)
+    assert solve(fresh, np.ones(10)).status is Status.CONVERGED
+
+
 def test_lbfgs_quadratic_single_iteration():
     # With ||g0|| <= 1 the first trial is the unit step, the exact minimizer.
     objective = quadratic_objective(np.ones(3))
