@@ -188,7 +188,8 @@ def read_config_file(path: Union[str, Path]) -> Dict[str, str]:
     """Parse a flat config file, one :func:`config_entry` per line after
     ``#`` comments and blank lines, into raw strings for
     :meth:`SolverConfig.from_mapping`; every key is optional."""
-    lines = (raw.split("#", 1)[0].strip() for raw in Path(path).read_text().splitlines())
+    with open(path) as handle:
+        lines = [raw.split("#", 1)[0].strip() for raw in handle.read().splitlines()]
     return dict(config_entry(line, f"{path}:{n}") for n, line in enumerate(lines, 1) if line)
 
 
@@ -271,30 +272,26 @@ def evaluate(
     is requested. Raises :class:`NumericalBreakdownError` on any non-finite
     result; results are otherwise forwarded unmodified.
     """
+    if what not in ("value", "gradient", "both"):
+        raise ValueError(f"unknown evaluation request: {what!r}")
     if len(point) != fn.dim:
         raise ValueError(f"point has length {len(point)}, objective expects {fn.dim}")
-    value = gradient = None
-    if what in ("value", "both"):
+    if what != "gradient":
         counters.n_f += 1
         value = float(fn.value(point))
         if not math.isfinite(value):
             raise NumericalBreakdownError(f"objective value is {value!r}")
-    if what in ("gradient", "both"):
-        counters.n_g += 1
-        gradient = np.asarray(fn.gradient(point), dtype=float)
-        if gradient.shape != (fn.dim,):
-            raise ValueError(f"gradient has shape {gradient.shape}, expected ({fn.dim},)")
-        # A finite g'g proves every entry finite; only an overflowed or NaN
-        # product needs the exact scan.
-        if not math.isfinite(gradient.dot(gradient)) and not np.all(np.isfinite(gradient)):
-            raise NumericalBreakdownError("gradient contains non-finite entries")
-    if what == "value":
-        return value
-    if what == "gradient":
-        return gradient
-    if what == "both":
-        return value, gradient
-    raise ValueError(f"unknown evaluation request: {what!r}")
+        if what == "value":
+            return value
+    counters.n_g += 1
+    gradient = np.asarray(fn.gradient(point), dtype=float)
+    if gradient.shape != (fn.dim,):
+        raise ValueError(f"gradient has shape {gradient.shape}, expected ({fn.dim},)")
+    # A finite g'g proves every entry finite; only an overflowed or NaN
+    # product needs the exact scan.
+    if not math.isfinite(gradient.dot(gradient)) and not np.all(np.isfinite(gradient)):
+        raise NumericalBreakdownError("gradient contains non-finite entries")
+    return gradient if what == "gradient" else (value, gradient)
 
 
 def norm(v: Vector) -> float:

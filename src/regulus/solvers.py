@@ -7,6 +7,13 @@ step policy that chooses each step. They share the curvature store, two-loop
 direction, the ratio test, and one Wolfe search along a ray; the baseline is
 exactly the regularized direction code at ``mu = 0``, so comparisons isolate
 the regularization itself.
+
+``perfbench/tracer.py`` times each layer by patching ``PairHistory.push`` and
+nine names here: ``accept_step_rlbfgs``, ``two_loop_direction``,
+``gamma_scale``, ``model_reduction``, ``acceptance_ratio``,
+``nonmonotone_reference``, ``strong_wolfe_search``, ``evaluate`` and
+``check_termination``. The solvers must look them up at call time, so even
+one-line helpers stay functions; renaming or removing one fails perfbench.
 """
 
 from __future__ import annotations

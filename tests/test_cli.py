@@ -192,6 +192,15 @@ def test_solve_unwritable_trace_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_empty_config_path_is_named_as_given(monkeypatch, capsys):
+    # An empty path names itself, not the current directory that
+    # Path("") stands for.
+    monkeypatch.setitem(SOLVERS, "rlbfgs", _no_solve)
+    assert main(["solve", "beale", "--config", ""]) == 2
+    err = capsys.readouterr().err
+    assert "''" in err and "'.'" not in err, err
+
+
 def test_solve_with_config_file(tmp_path, capsys):
     config = tmp_path / "solver.cfg"
     config.write_text("max_fevals = 5\n")

@@ -8,6 +8,7 @@ from regulus.core import (
     EvalCounter,
     NumericalBreakdownError,
     Objective,
+    RunReport,
     SolverConfig,
     Status,
     check_termination,
@@ -140,6 +141,12 @@ def test_config_float_fields_store_finite_floats():
     for value in (math.inf, -math.inf, 10**400, "1"):
         with pytest.raises(ValueError, match="gamma2 must be finite"):
             SolverConfig(gamma2=value)
+
+
+def test_reprs():
+    assert repr(EvalCounter(2, 3)) == "EvalCounter(n_f=2, n_g=3)"
+    report = RunReport(Status.CONVERGED, 4, 1, EvalCounter(6, 5), 0.5, 1e-6, 0.01, "rlbfgs")
+    assert repr(report) == f"RunReport({report.to_dict()!r})"
 
 
 def test_evaluate_counts_and_values():

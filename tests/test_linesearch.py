@@ -202,6 +202,12 @@ def test_cubic_without_a_real_critical_point_falls_back():
     assert _cubic_minimizer(0.0, 0.0, -1.0, 1.0, -2.0 / 3.0, -1.0) is None
 
 
+def test_cubic_with_a_zero_denominator_falls_back():
+    # Through (0, 0) with slope 1 and (1, 0) with slope -1: d1 = 0 and
+    # d2 = 1, so the denominator -1 - 1 + 2 * 1 is exactly zero.
+    assert _cubic_minimizer(0.0, 0.0, 1.0, 1.0, 0.0, -1.0) is None
+
+
 def test_collapsed_bracket_ends_by_its_width():
     # The values rise although every slope reads descent: bisection halves
     # the bracket [0, 1] until its width vanishes, long before the budget.
