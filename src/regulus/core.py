@@ -86,8 +86,8 @@ class Objective(NamedTuple):
     ``value`` and ``gradient`` must be deterministic for a given point,
     and neither may modify its argument. The gradient must return a vector
     of length ``dim`` that is a new array on each call: a solver keeps the
-    previous gradient, and one written into a reused buffer is a
-    ``ValueError``.
+    previous gradient, and one that shares memory with the previous
+    gradient (a reused buffer or a view of one) is a ``ValueError``.
     """
 
     dim: int
@@ -126,7 +126,7 @@ class SolverConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            integral = f.type in (int, "int")
+            integral = f.type == "int"
             try:
                 # math.isfinite rejects a string and an int beyond a float.
                 valid = int(value) == value if integral else math.isfinite(value)
@@ -168,7 +168,7 @@ class SolverConfig:
         for key, value in data.items():
             if key not in types:
                 raise ValueError(f"unknown config key: {key!r}")
-            if isinstance(value, str) and types[key] in (int, "int"):
+            if isinstance(value, str) and types[key] == "int":
                 with contextlib.suppress(ValueError):
                     value = int(value)
             kwargs[key] = float(value) if isinstance(value, str) else value

@@ -141,21 +141,25 @@ def nonmonotone_reference(window: deque) -> float:
     return max(window)
 
 
-def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, TraceRecord]:
-    """Inner loop of the regularized solvers, owner of ``state.mu`` and
+def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, Vector, TraceRecord]:
+    """Step policy of the regularized solvers, owner of ``state.mu`` and
     ``state.fwindow``.
 
     Appends ``state.f`` to the window, then, starting from ``state.mu``,
     repeatedly computes the direction, evaluates the trial point, and either
     accepts (ratio at least ``eta1`` against the nonmonotone reference) or
-    escalates the parameter by ``gamma2`` and retries. Returns
-    ``(x, d, record)``: the trial point ``x + d`` it accepted, the step,
-    and a record of its value, the parameter it was taken at and its ratio;
-    then ``state.mu`` is :func:`update_mu` of that parameter and the
-    rejections are added to ``state.inner``. Non-finite trial values count as
-    rejections. Raises :class:`RegularizationOverflowError` past ``mu_max``
-    or once the step vanishes (:class:`NumericalBreakdownError` when the
-    last trial was non-finite), and :class:`EvalBudgetExceededError` when a
+    escalates the parameter by ``gamma2`` and retries while it is at most
+    ``mu_max``. The first trial always runs: ``mu0 <= mu_max`` and
+    :func:`update_mu` never raises mu. A non-finite trial value is inf, and
+    its ratio (-inf or NaN) rejects it. On acceptance ``state.mu`` becomes
+    :func:`update_mu` of the parameter used, the rejections are added to
+    ``state.inner``, and then the gradient at the accepted point is
+    evaluated, so a breakdown there propagates with both set. Returns
+    ``(x, g, d, record)``: the trial point ``x + d``, its gradient, the
+    step, and a record of its value, the parameter it was taken at and its
+    ratio. Raises :class:`RegularizationOverflowError` past ``mu_max`` or
+    once the step vanishes (:class:`NumericalBreakdownError` when the last
+    trial was non-finite), and :class:`EvalBudgetExceededError` when a
     rejected trial exhausts the budget, changing neither ``state.mu`` nor
     ``state.inner``.
     """
@@ -165,7 +169,7 @@ def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, TraceRecord
     mu_bar = state.mu
     inner = 0
     f_trial = state.f  # no trial yet: a first step that vanishes is an overflow
-    while True:
+    while mu_bar <= config.mu_max:
         d = two_loop_direction(state.history, state.g, mu_bar, state.gamma)
         reduction = model_reduction(state.g, d)
         if reduction == 0.0:
@@ -176,20 +180,19 @@ def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, TraceRecord
             f_trial = evaluate(state.objective, x_trial, counters, "value")
         except NumericalBreakdownError:
             f_trial = math.inf
-        if math.isfinite(f_trial):
-            ratio = acceptance_ratio(f_ref, f_trial, reduction)
-            if ratio >= config.eta1:
-                state.mu = update_mu(mu_bar, ratio, config)
-                state.inner += inner
-                return x_trial, d, TraceRecord(f_trial, mu_bar, ratio, None, f_trial)
+        ratio = acceptance_ratio(f_ref, f_trial, reduction)
+        if ratio >= config.eta1:
+            state.mu = update_mu(mu_bar, ratio, config)
+            state.inner += inner
+            # The one gradient of a step: the extension, the pair and the next step use it.
+            g = evaluate(state.objective, x_trial, counters, "gradient")
+            return x_trial, g, d, TraceRecord(f_trial, mu_bar, ratio, None, f_trial)
         if counters.n_f > config.max_fevals:
             raise EvalBudgetExceededError(
                 f"evaluation budget exhausted after {counters.n_f} evaluations"
             )
         mu_bar *= config.gamma2
         inner += 1
-        if mu_bar > config.mu_max:
-            break
     if not math.isfinite(f_trial):
         raise NumericalBreakdownError(f"mu escalation to {mu_bar:g} ended on a non-finite trial")
     raise RegularizationOverflowError(f"mu escalation to {mu_bar:g} found no acceptable step")
@@ -279,14 +282,6 @@ def _line_search_step(state):
     return x, g, alpha * d, TraceRecord(f, 0.0, None, alpha, f)
 
 
-def _regularized_step(state):
-    """rlbfgs: the regularized unit step that passes the ratio test."""
-    x, d, record = accept_step_rlbfgs(state)
-    # One gradient evaluation per accepted step; it serves the extension
-    # trigger, the new curvature pair, and the next iteration alike.
-    return x, evaluate(state.objective, x, state.counters, "gradient"), d, record
-
-
 def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
     """The iteration loop of every solver.
 
@@ -317,7 +312,7 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
             state.gamma = initial_scale(state.g)
             while (status := check_termination(state.g, state.x, counters, config)) is None:
                 x, g, s, record = take_step(state)
-                if g is state.g:
+                if np.may_share_memory(g, state.g):
                     raise ValueError("the objective's gradient must return a new array "
                                      "on each call, not a reused buffer")
                 # A dropped pair leaves the newest pair, and so the scale, as it was.
@@ -367,7 +362,7 @@ def solve_rlbfgs(
 ) -> RunReport:
     """Regularized L-BFGS: unit steps accepted by the ratio test, with the
     regularization parameter controlled like a trust-region radius."""
-    return _run(objective, x0, config, trace, "rlbfgs", _regularized_step)
+    return _run(objective, x0, config, trace, "rlbfgs", accept_step_rlbfgs)
 
 
 def solve_rlbfgs_sw(
@@ -379,7 +374,7 @@ def solve_rlbfgs_sw(
     """Regularized L-BFGS that extends accepted steps by a strong Wolfe
     search when the unit step is detectably short."""
     return _run(objective, x0, config, trace, "rlbfgs-sw",
-                lambda state: wolfe_extension_step(state, *_regularized_step(state)))
+                lambda state: wolfe_extension_step(state, *accept_step_rlbfgs(state)))
 
 
 SOLVERS: Dict[str, Callable[..., RunReport]] = {

@@ -71,7 +71,7 @@ def test_accept_step_exact_quadratic_accepts_first_trial():
     objective = quadratic_objective(2.0 * np.ones(2))
     config = SolverConfig()
     state, counters = fresh_state(objective, [3.0, 4.0], config)
-    x, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
+    x, g, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
     assert state.inner == 0
     assert mu == config.mu0
     assert ratio == pytest.approx(1.0)
@@ -80,21 +80,31 @@ def test_accept_step_exact_quadratic_accepts_first_trial():
 
 
 def test_accept_step_two_trial_script():
-    # first trial engineered to land at ratio 0.005, second at ~0.5
-    table = {0.0: 1.0, -0.5: 1.0 - 0.00125, -1.0 / 11.0: 1.0 - 1.0 / 44.0}
+    # first trial engineered to land at ratio 0.005, second at ~0.5; a first
+    # trial that broke down (inf) is rejected by its ratio the same way
+    for first in (1.0 - 0.00125, math.inf):
+        table = {0.0: 1.0, -0.5: first, -1.0 / 11.0: 1.0 - 1.0 / 44.0}
 
-    def value(x):
-        return table[float(x[0])]
+        def value(x):
+            return table[float(x[0])]
 
-    objective = Objective(dim=1, value=value, gradient=lambda x: np.array([1.0]))
-    config = SolverConfig()
-    state, counters = fresh_state(objective, [0.0], config)
-    x, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
-    assert state.inner == 1
-    assert mu == 10.0
-    assert f == 1.0 - 1.0 / 44.0
-    assert ratio == pytest.approx(0.5)
-    assert counters.n_f == 3  # initial + two trials
+        gradients = []
+
+        def gradient(x):
+            gradients.append(np.array([1.0]))
+            return gradients[-1]
+
+        objective = Objective(dim=1, value=value, gradient=gradient)
+        config = SolverConfig()
+        state, counters = fresh_state(objective, [0.0], config)
+        x, g, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
+        assert state.inner == 1
+        assert mu == 10.0
+        assert f == 1.0 - 1.0 / 44.0
+        assert ratio == pytest.approx(0.5)
+        assert counters.n_f == 3  # initial + two trials
+        assert counters.n_g == 2  # initial + the accepted point's
+        assert g is gradients[-1]
 
 
 @pytest.mark.parametrize("diag", [2.0, 3.0])
@@ -105,7 +115,7 @@ def test_accept_step_owns_mu_and_window(diag):
     config = SolverConfig()
     state, counters = fresh_state(objective, [3.0, 4.0], config)
     f_before = state.f
-    x, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
+    x, g, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
     assert state.mu == update_mu(mu, ratio, config)
     assert state.fwindow[-1] == f_before
 
@@ -343,8 +353,11 @@ def test_gradient_in_a_reused_buffer_is_rejected(solve):
     buf = np.empty(10)
     objective = Objective(10, lambda x: 0.5 * float(x.dot(diag * x)),
                           lambda x: np.multiply(diag, x, out=buf))
-    with pytest.raises(ValueError, match="new array on each call"):
-        solve(objective, np.ones(10))
+    # A new view of the buffer is not the same object but shares its memory.
+    view = objective._replace(gradient=lambda x: np.multiply(diag, x, out=buf)[:])
+    for reused in (objective, view):
+        with pytest.raises(ValueError, match="new array on each call"):
+            solve(reused, np.ones(10))
     fresh = Objective(10, objective.value, lambda x: diag * x)
     assert solve(fresh, np.ones(10)).status is Status.CONVERGED
 
