@@ -153,15 +153,19 @@ def two_loop_direction(
             if not math.isfinite(tau):
                 raise NumericalBreakdownError(f"non-finite curvature weight 1/{s_ty!r}")
             pair.mu, pair.y_shifted, pair.tau = mu, y_shifted, tau
+    # The loops dot a contiguous copy of the gradient: a strided gradient
+    # would dot through another BLAS kernel. A ufunc bound to a local and
+    # given ``out`` positionally costs less per call.
+    multiply = np.multiply
     q = np.array(gradient, dtype=float)
     buf = np.empty_like(q)
     alphas = []
     for pair in reversed(pairs):
         a = pair.tau * float(pair.s.dot(q))
-        q -= np.multiply(pair.y_shifted, a, out=buf)
+        q -= multiply(pair.y_shifted, a, buf)
         alphas.append(a)
-    r = np.multiply(q, gamma / (1.0 + gamma * mu), out=q)
+    r = multiply(q, gamma / (1.0 + gamma * mu), q)
     for pair, a in zip(pairs, reversed(alphas)):
         beta = pair.tau * float(pair.y_shifted.dot(r))
-        r += np.multiply(pair.s, a - beta, out=buf)
-    return np.negative(r, out=r)
+        r += multiply(pair.s, a - beta, buf)
+    return np.negative(r, r)

@@ -213,29 +213,32 @@ def update_mu(mu_used: float, ratio: float, config: SolverConfig) -> float:
 def _wolfe_ray(state, x0, d, f0, dphi0):
     """Strong Wolfe search from ``x0`` along ``d``, first trying the unit step.
 
-    Returns ``(alpha, x, f, g)`` at the accepted point, reusing the probe
-    that evaluated it. A probe whose evaluation breaks down has value inf,
-    so it fails sufficient decrease. Raises what the search raises when no
-    step is found.
+    Returns ``(alpha, x, f, g, s)`` at the accepted point, reusing the probe
+    that evaluated it: ``s = alpha * d`` is its step from ``x0``, ``d``
+    itself at the unit step, where the product would repeat ``d`` bit for
+    bit. A probe whose evaluation breaks down has value inf, so it fails
+    sufficient decrease. Raises what the search raises when no step is
+    found.
     """
     probed = []
     config = state.config
 
     def along(alpha: float):
-        x_t = x0 + alpha * d
+        s_t = d if alpha == 1.0 else alpha * d
+        x_t = x0 + s_t
         try:
             f_t, g_t = evaluate(state.objective, x_t, state.counters, "both")
         except NumericalBreakdownError:
             return math.inf, 0.0
-        probed[:] = (x_t, g_t)
+        probed[:] = (x_t, g_t, s_t)
         return f_t, float(d.dot(g_t))
 
     alpha, f, _ = strong_wolfe_search(along, f0, dphi0, config.c1, config.c2,
                                       config.max_ls_iters)
     # The search only accepts the point of its last probe, and a probe that
     # broke down (phi = inf) never passes sufficient decrease.
-    x, g = probed
-    return alpha, x, f, g
+    x, g, s = probed
+    return alpha, x, f, g, s
 
 
 def wolfe_extension_step(
@@ -265,7 +268,7 @@ def wolfe_extension_step(
     if not d_dot_unit < state.config.c2 * float(d.dot(state.g)):
         return x_unit, g_unit, d, record
     try:
-        alpha, x_new, f_new, g_new = _wolfe_ray(state, x_unit, d, record.f, d_dot_unit)
+        alpha, x_new, f_new, g_new, _ = _wolfe_ray(state, x_unit, d, record.f, d_dot_unit)
     except (LineSearchError, NumericalBreakdownError):
         return x_unit, g_unit, d, record._replace(ls_failed=True)
     return x_new, g_new, (1.0 + alpha) * d, record._replace(f=f_new, alpha=alpha)
@@ -278,8 +281,8 @@ def _line_search_step(state):
     dphi0 = float(d.dot(state.g))
     if not -math.inf < dphi0 < 0.0:
         raise NumericalBreakdownError(f"not a finite descent direction: d'g = {dphi0!r}")
-    alpha, x, f, g = _wolfe_ray(state, state.x, d, state.f, dphi0)
-    return x, g, alpha * d, TraceRecord(f, 0.0, None, alpha, f)
+    alpha, x, f, g, s = _wolfe_ray(state, state.x, d, state.f, dphi0)
+    return x, g, s, TraceRecord(f, 0.0, None, alpha, f)
 
 
 def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:

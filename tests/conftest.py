@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,46 @@ def mixed_sign_pair(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def simd_found():
+    """The SIMD targets numpy dispatches to on this host (numpy >= 1.25),
+    or an empty list where it cannot tell."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        return []
+    return config.get("SIMD Extensions", {}).get("found", [])
+
+
+def openblas_core():
+    """(core name, thread count) of the OpenBLAS that numpy loaded, or
+    (None, None) if none is found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return None, None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for suffix in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            corename = getattr(handle, suffix.format("get_corename"), None)
+            threads = getattr(handle, suffix.format("get_num_threads"), None)
+            if corename is not None and threads is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                return corename().decode(), threads()
+    return None, None
+
+
+def pytest_report_header(config):
+    # The golden bits depend on these: numpy's SIMD loops and OpenBLAS's
+    # kernels round differently (README, "Install and test").
+    core, threads = openblas_core()
+    return [
+        f"numpy {np.__version__}, SIMD targets found: {' '.join(simd_found()) or 'none'}",
+        f"OpenBLAS core: {core}, threads: {threads}",
+    ]

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_OBJECTIVES
+import regulus
+from conftest import REFERENCE_OBJECTIVES, simd_found
 from regulus.core import Objective
 from regulus.problems import (
     ProblemDef,
@@ -181,6 +188,57 @@ def test_nonpositive_dimension_is_rejected_for_every_family():
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [4, 100, 1000])
+def test_powell_singular_is_exactly_even(n, rng):
+    # f(-x) = f(x) and g(-x) = -g(x) hold in floating point too when every
+    # power is a product, since rounding to nearest is symmetric in sign.
+    objective = make_problem("powell-singular", n).objective
+    points = [get_problem(f"powell-singular:{n}{at}").x0 for at in ("", "@10", "@100")]
+    points += [10.0 ** rng.uniform(-3.0, 1.0) * rng.standard_normal(n) for _ in range(50)]
+    for x in points:
+        assert _bits(objective.value(-x)) == _bits(objective.value(x))
+        assert np.array_equal(_bits(objective.gradient(-x)), _bits(-objective.gradient(x)))
+
+
+def objective_bits():
+    """Every registry problem's value and gradient bits at its standard
+    start, the ``@10`` and ``@100`` starts and one seeded point, keyed
+    ``"<problem> <point>"``. The seeded point is drawn by ``uniform``, whose
+    bits are the same on every host."""
+    bits = {}
+    for problem in registry():
+        rng = np.random.default_rng(29)
+        points = {at: get_problem(f"{problem.name}{at}").x0 for at in ("", "@10", "@100")}
+        points["seeded"] = problem.x0 + rng.uniform(-1.0, 1.0, problem.dimension)
+        for label, x in points.items():
+            g = problem.objective.gradient(x)
+            bits[f"{problem.name} {label}"] = [float(problem.objective.value(x)).hex(),
+                                               [float(v).hex() for v in g]]
+    return bits
+
+
+_AVX512 = [t for t in simd_found() if t == "X86_V4" or t.startswith("AVX512")]
+
+
+@pytest.mark.skipif("X86_V4" not in _AVX512, reason="numpy dispatches to no AVX-512 target here")
+def test_registry_objectives_do_not_depend_on_simd_dispatch():
+    # numpy rejects, at import, a target it does not dispatch to, so only
+    # the targets it found are disabled.
+    src = str(Path(regulus.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (f"import json, sys; sys.path.insert(0, {tests!r}); "
+            "from test_problems import objective_bits; print(json.dumps(objective_bits()))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    there, here = json.loads(proc.stdout), objective_bits()
+    assert there.keys() == here.keys()
+    moved = [key for key in here if there[key] != here[key]]
+    assert not moved, moved
 
 
 def _in_place_starts(family, n, rng):
