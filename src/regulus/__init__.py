@@ -16,13 +16,13 @@ __version__ = "0.1.0"
 
 # The batch harness (CSV records, profiles) is imported on first use of one
 # of its names, so that solving pays nothing for it.
-_HARNESS_NAMES = frozenset({
+_HARNESS_NAMES = (
     "EmptyIntersectionError",
     "ProfileCurve",
     "RunRecord",
     "performance_profile",
     "run_batch",
-})
+)
 
 __all__ = [
     "EvalCounter",
@@ -32,11 +32,7 @@ __all__ = [
     "Status",
     "check_termination",
     "evaluate",
-    "EmptyIntersectionError",
-    "ProfileCurve",
-    "RunRecord",
-    "performance_profile",
-    "run_batch",
+    *_HARNESS_NAMES,
     "ProblemDef",
     "get_problem",
     "make_problem",

@@ -2,15 +2,15 @@
 step while the bracket is open and interpolating once it is closed.
 
 Only the 1-D restriction of the objective is visible here; callers supply
-``phi(alpha) -> (value, slope)``, which also does whatever evaluation
-accounting they need and returns a value of ``inf`` for a point that broke
-down.
+``phi(alpha) -> (value, slope, *extras)``, which also does whatever
+evaluation accounting they need and returns a value of ``inf`` for a point
+that broke down.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple
+from typing import Callable
 
 from .core import LineSearchError, NumericalBreakdownError
 
@@ -37,18 +37,19 @@ def _cubic_minimizer(a, fa, dfa, b, fb, dfb):
 
 
 def strong_wolfe_search(
-    phi: Callable[[float], Tuple[float, float]],
+    phi: Callable[[float], tuple],
     phi0: float,
     dphi0: float,
     c1: float,
     c2: float,
     max_iters: int,
-) -> Tuple[float, float, float]:
+) -> tuple:
     """Find a step satisfying sufficient decrease and the strong curvature bound.
 
-    ``phi(alpha)`` returns the value and slope along the ray, and ``phi0``
-    and ``dphi0 < 0`` are those at ``alpha = 0``. The first trial is the
-    unit step. The returned ``(alpha, phi(alpha), phi'(alpha))`` satisfies
+    ``phi(alpha)`` returns ``(value, slope, *extras)`` along the ray, and
+    ``phi0`` and ``dphi0 < 0`` are the value and slope at ``alpha = 0``.
+    The first trial is the unit step. The search returns ``(alpha,
+    phi(alpha), phi'(alpha), *extras)`` of the probe it accepts, where
 
         phi(alpha) <= phi(0) + c1 * alpha * phi'(0)
         |phi'(alpha)| <= c2 * |phi'(0)|
@@ -95,13 +96,13 @@ def strong_wolfe_search(
         if evals >= max_iters:
             give_up(f"no acceptable step within {max_iters} evaluations")
         evals += 1
-        value, slope = phi(alpha)
+        value, slope, *extras = phi(alpha)
         phi_a, dphi_a = float(value), float(slope)
         # The first trial is judged by sufficient decrease alone.
         if not phi_a <= phi0 + c1 * alpha * dphi0 or (evals > 1 and phi_a >= phi_lo):
             a_hi, phi_hi, dphi_hi = alpha, phi_a, dphi_a
         elif abs(dphi_a) <= curve_bound:
-            return alpha, phi_a, dphi_a
+            return (alpha, phi_a, dphi_a, *extras)
         else:
             if dphi_a * (a_hi - a_lo) >= 0.0:
                 a_hi, phi_hi, dphi_hi = a_lo, phi_lo, dphi_lo

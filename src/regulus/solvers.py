@@ -213,14 +213,13 @@ def update_mu(mu_used: float, ratio: float, config: SolverConfig) -> float:
 def _wolfe_ray(state, x0, d, f0, dphi0):
     """Strong Wolfe search from ``x0`` along ``d``, first trying the unit step.
 
-    Returns ``(alpha, x, f, g, s)`` at the accepted point, reusing the probe
-    that evaluated it: ``s = alpha * d`` is its step from ``x0``, ``d``
-    itself at the unit step, where the product would repeat ``d`` bit for
-    bit. A probe whose evaluation breaks down has value inf, so it fails
+    Returns the search's ``(alpha, f, d'g, x, g, s)`` of the probe it
+    accepted: its point, gradient and step ``s = alpha * d`` from ``x0``,
+    ``d`` itself at the unit step, where the product would repeat ``d`` bit
+    for bit. A probe whose evaluation breaks down has value inf, so it fails
     sufficient decrease. Raises what the search raises when no step is
     found.
     """
-    probed = []
     config = state.config
 
     def along(alpha: float):
@@ -230,15 +229,9 @@ def _wolfe_ray(state, x0, d, f0, dphi0):
             f_t, g_t = evaluate(state.objective, x_t, state.counters, "both")
         except NumericalBreakdownError:
             return math.inf, 0.0
-        probed[:] = (x_t, g_t, s_t)
-        return f_t, float(d.dot(g_t))
+        return f_t, float(d.dot(g_t)), x_t, g_t, s_t
 
-    alpha, f, _ = strong_wolfe_search(along, f0, dphi0, config.c1, config.c2,
-                                      config.max_ls_iters)
-    # The search only accepts the point of its last probe, and a probe that
-    # broke down (phi = inf) never passes sufficient decrease.
-    x, g, s = probed
-    return alpha, x, f, g, s
+    return strong_wolfe_search(along, f0, dphi0, config.c1, config.c2, config.max_ls_iters)
 
 
 def wolfe_extension_step(
@@ -268,7 +261,7 @@ def wolfe_extension_step(
     if not d_dot_unit < state.config.c2 * float(d.dot(state.g)):
         return x_unit, g_unit, d, record
     try:
-        alpha, x_new, f_new, g_new, _ = _wolfe_ray(state, x_unit, d, record.f, d_dot_unit)
+        alpha, f_new, _, x_new, g_new, _ = _wolfe_ray(state, x_unit, d, record.f, d_dot_unit)
     except (LineSearchError, NumericalBreakdownError):
         return x_unit, g_unit, d, record._replace(ls_failed=True)
     return x_new, g_new, (1.0 + alpha) * d, record._replace(f=f_new, alpha=alpha)
@@ -281,7 +274,7 @@ def _line_search_step(state):
     dphi0 = float(d.dot(state.g))
     if not -math.inf < dphi0 < 0.0:
         raise NumericalBreakdownError(f"not a finite descent direction: d'g = {dphi0!r}")
-    alpha, x, f, g, s = _wolfe_ray(state, state.x, d, state.f, dphi0)
+    alpha, f, _, x, g, s = _wolfe_ray(state, state.x, d, state.f, dphi0)
     return x, g, s, TraceRecord(f, 0.0, None, alpha, f)
 
 

@@ -108,6 +108,22 @@ def test_evaluation_accounting():
     assert calls[-1] == alpha
 
 
+def test_search_returns_the_accepted_probes_extras():
+    # phi(a) = (a - 3)^2 / 2 from slope -3: the search probes 1, 2 and 4,
+    # then accepts inside [2, 4]. Each probe tags itself with its index.
+    calls = []
+
+    def evaluator(a):
+        calls.append(a)
+        return 0.5 * (a - 3.0) ** 2, a - 3.0, ("probe", len(calls), a)
+
+    alpha, phi_a, dphi_a, tag = strong_wolfe_search(evaluator, 4.5, -3.0, 1e-4, 0.1, 20)
+    assert calls[:3] == [1.0, 2.0, 4.0]
+    assert 2.0 < alpha < 4.0
+    assert (phi_a, dphi_a) == (0.5 * (alpha - 3.0) ** 2, alpha - 3.0)
+    assert tag == ("probe", len(calls), alpha)
+
+
 def random_profile(rng):
     """Smooth, bounded-below 1-D profile with a negative slope at zero."""
     while True:
