@@ -40,7 +40,12 @@ class SolverError(Exception):
 
 
 class NumericalBreakdownError(SolverError):
-    """A non-finite value appeared where a finite one is required."""
+    """The run cannot go on: a non-finite objective value, gradient or
+    line-search probe, a stored pair with a zero gradient difference
+    (``gamma_scale``), a non-finite shifted curvature weight
+    (``two_loop_direction``), or a direction that does not descend
+    (``model_reduction``, the Wolfe step). A breakdown in the pair update
+    reports the iterate the step started from."""
 
     status = Status.NUMERICAL_BREAKDOWN
 

@@ -1,18 +1,19 @@
 """Bounded history of (s, y) curvature pairs and the regularized two-loop
 direction built on it.
 
-The history stores raw displacement/gradient-difference pairs; the
-regularization shift is applied on the fly, so varying the regularization
-parameter never requires re-storing vectors. The direction never forms a
-matrix: it runs the standard two-loop recursion over the stored window with
-the per-pair shifted curvature and a scaled, regularized initial diagonal.
+The history is a bounded ``deque`` of raw displacement/gradient-difference
+pairs, oldest first, that only its ``push`` fills. The regularization shift
+is applied on the fly, so varying the regularization parameter never
+requires re-storing vectors. The direction never forms a matrix: it runs
+the standard two-loop recursion over the stored window with the per-pair
+shifted curvature and a scaled, regularized initial diagonal.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterator, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -42,17 +43,14 @@ class CurvaturePair:
         self.mu = self.y_shifted = self.tau = None
 
 
-class PairHistory:
-    """FIFO window of the most recent curvature pairs, newest last."""
+class PairHistory(deque):
+    """The most recent curvature pairs, oldest first: a ``deque`` bounded at
+    ``capacity`` that only :meth:`push` fills."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("history capacity must be positive")
-        self._pairs: deque[CurvaturePair] = deque(maxlen=capacity)
-
-    @property
-    def newest(self) -> Optional[CurvaturePair]:
-        return self._pairs[-1] if self._pairs else None
+        super().__init__(maxlen=capacity)
 
     def push(self, s: Vector, y: Vector) -> bool:
         """Append a pair, evicting the oldest when at capacity.
@@ -69,15 +67,8 @@ class PairHistory:
             np.all(np.isfinite(pair.s)) and np.all(np.isfinite(pair.y))
         ):
             return False
-        self._pairs.append(pair)
+        self.append(pair)
         return True
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __iter__(self) -> Iterator[CurvaturePair]:
-        """Iterate oldest to newest."""
-        return iter(self._pairs)
 
 
 def shifted_curvature(pair: CurvaturePair, mu: float) -> Tuple[Vector, float]:
@@ -145,8 +136,7 @@ def two_loop_direction(
     neither the cache nor the buffer, because callers store it in the
     history as the next displacement.
     """
-    pairs = history._pairs
-    for pair in pairs:
+    for pair in history:
         if pair.mu != mu:
             y_shifted, s_ty = shifted_curvature(pair, mu)
             tau = 1.0 / s_ty if s_ty != 0.0 else math.inf
@@ -160,12 +150,12 @@ def two_loop_direction(
     q = np.array(gradient, dtype=float)
     buf = np.empty_like(q)
     alphas = []
-    for pair in reversed(pairs):
+    for pair in reversed(history):
         a = pair.tau * float(pair.s.dot(q))
         q -= multiply(pair.y_shifted, a, buf)
         alphas.append(a)
     r = multiply(q, gamma / (1.0 + gamma * mu), q)
-    for pair, a in zip(pairs, reversed(alphas)):
+    for pair, a in zip(history, reversed(alphas)):
         beta = pair.tau * float(pair.y_shifted.dot(r))
         r += multiply(pair.s, a - beta, buf)
     return np.negative(r, r)

@@ -313,7 +313,7 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
                                      "on each call, not a reused buffer")
                 # A dropped pair leaves the newest pair, and so the scale, as it was.
                 if state.history.push(s, g - state.g):
-                    state.gamma = gamma_scale(state.history.newest)
+                    state.gamma = gamma_scale(state.history[-1])
                 if trace is not None:
                     trace.append(record._replace(
                         k=k, gnorm=norm(state.g.ravel()), nf=counters.n_f))

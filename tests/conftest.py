@@ -59,7 +59,7 @@ def random_history(rng, n, npairs, capacity=None, min_cos=0.1):
 def scale_of(history):
     """The initial-matrix scale for ``history``: that of its newest pair, or
     1.0 for an empty history."""
-    return gamma_scale(history.newest) if len(history) else 1.0
+    return gamma_scale(history[-1]) if len(history) else 1.0
 
 
 def initial_diag(gamma, mu):

@@ -101,7 +101,7 @@ def test_c03_regularization_limit(rng):
     for _ in range(50):
         n = int(rng.integers(2, 9))
         hist = random_history(rng, n, int(rng.integers(1, 5)))
-        scaling = gamma_scale(hist.newest)
+        scaling = gamma_scale(hist[-1])
         g = rng.standard_normal(n)
         d3 = np.linalg.norm(two_loop_direction(hist, g, 1e3, scaling))
         d6 = np.linalg.norm(two_loop_direction(hist, g, 1e6, scaling))
@@ -232,7 +232,7 @@ def _monotone_reference_run(problem, config):
         x_unit = x + d
         g_new = evaluate(problem.objective, x_unit, counters, "gradient")
         if history.push(d, g_new - g):
-            scaling = gamma_scale(history.newest)
+            scaling = gamma_scale(history[-1])
         iterates.append((f_trial, counters.n_f))
         x, f, g = x_unit, f_trial, g_new
 

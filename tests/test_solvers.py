@@ -13,7 +13,7 @@ from regulus.core import (
     SolverConfig,
     Status,
 )
-from regulus.curvature import PairHistory, shifted_curvature, two_loop_direction
+from regulus.curvature import PairHistory, gamma_scale, shifted_curvature, two_loop_direction
 from regulus.problems import get_problem
 from regulus.solvers import (
     SOLVERS,
@@ -345,6 +345,33 @@ def test_linear_objective_ends_in_a_report(solve, status):
     assert report.iterations == 0
 
 
+@pytest.mark.parametrize("solve", [solve_rlbfgs, solve_rlbfgs_sw])
+def test_breakdown_in_the_pair_update_reports_the_start_of_the_step(solve, monkeypatch):
+    # f = x1 + x2: the accepted first step gives y = 0, so gamma_scale raises
+    # after the step was evaluated and before the iterate moves.
+    import regulus.solvers as solvers_mod
+
+    raised = []
+
+    def spy(pair):
+        try:
+            return gamma_scale(pair)
+        except NumericalBreakdownError:
+            raised.append(pair)
+            raise
+
+    monkeypatch.setattr(solvers_mod, "gamma_scale", spy)
+    x0 = np.array([1.0, -2.0])
+    objective = Objective(2, lambda x: float(x[0] + x[1]), lambda x: np.ones(2))
+    report = solve(objective, x0)
+    assert report.status is Status.NUMERICAL_BREAKDOWN
+    assert len(raised) == 1
+    assert (report.counters.n_f, report.counters.n_g) == (2, 2)
+    assert report.iterations == 0
+    np.testing.assert_array_equal(report.x, x0)
+    assert report.final_f == -1.0
+
+
 @pytest.mark.parametrize("solve", [solve_lbfgs, solve_rlbfgs, solve_rlbfgs_sw])
 def test_gradient_in_a_reused_buffer_is_rejected(solve):
     # A gradient written into one buffer would overwrite the kept gradient,
@@ -621,7 +648,7 @@ def test_pushed_pairs_keep_positive_shifted_curvature(monkeypatch):
         def push(self, s, y):
             ok = super().push(s, y)
             if ok:
-                pushed.append(self.newest)
+                pushed.append(self[-1])
             return ok
 
     monkeypatch.setattr(solvers_mod, "PairHistory", RecordingHistory)
