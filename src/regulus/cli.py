@@ -58,7 +58,7 @@ def cmd_solve(args) -> int:
         problem = get_problem(args.problem)
         # Opened before the solve so that a bad path fails fast.
         trace_file = open(args.trace, "w") if args.trace is not None else contextlib.nullcontext()
-    except (KeyError, ValueError, MemoryError, OSError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         return _usage_error(args, exc)
     trace = [] if args.trace is not None else None
     with trace_file:
@@ -77,7 +77,7 @@ def cmd_bench(args) -> int:
         check_batch(problems, solvers)
         # Opened before the batch so that a bad path fails fast.
         out = open(args.out, "w", newline="")
-    except (KeyError, ValueError, MemoryError, OSError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         return _usage_error(args, exc)
     with out:
         records = run_batch(problems, solvers, config)
@@ -150,6 +150,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except MemoryError as exc:
+        # A problem too large to build, or a solve that ran out of memory.
+        return _usage_error(args, exc)
     except OSError as exc:
         # The reader closed the pipe early (`regulus solve ... | head -1`),
         # or a write failed (a full disk). Point stdout at devnull so that

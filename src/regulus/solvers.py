@@ -149,10 +149,11 @@ def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, Vector, Tra
     repeatedly computes the direction, evaluates the trial point, and either
     accepts (ratio at least ``eta1`` against the nonmonotone reference) or
     escalates the parameter by ``gamma2`` and retries while it is at most
-    ``mu_max``. The first trial always runs: ``mu0 <= mu_max`` and
-    :func:`update_mu` never raises mu. A non-finite trial value is inf, and
-    its ratio (-inf or NaN) rejects it. On acceptance ``state.mu`` becomes
-    :func:`update_mu` of the parameter used, the rejections are added to
+    ``mu_max``. On acceptance ``state.mu`` becomes the parameter used,
+    shrunk by ``gamma1`` and floored at ``mu_min`` when the ratio is at
+    least ``eta2``; acceptance never raises mu, so the first trial always
+    runs (``mu0 <= mu_max``). A non-finite trial value is inf, and its ratio
+    (-inf or NaN) rejects it. On acceptance the rejections are also added to
     ``state.inner``, and then the gradient at the accepted point is
     evaluated, so a breakdown there propagates with both set. Returns
     ``(x, g, d, record)``: the trial point ``x + d``, its gradient, the
@@ -182,7 +183,8 @@ def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, Vector, Tra
             f_trial = math.inf
         ratio = acceptance_ratio(f_ref, f_trial, reduction)
         if ratio >= config.eta1:
-            state.mu = update_mu(mu_bar, ratio, config)
+            state.mu = (max(config.mu_min, config.gamma1 * mu_bar)
+                        if ratio >= config.eta2 else mu_bar)
             state.inner += inner
             # The one gradient of a step: the extension, the pair and the next step use it.
             g = evaluate(state.objective, x_trial, counters, "gradient")
@@ -196,18 +198,6 @@ def accept_step_rlbfgs(state: IterateState) -> Tuple[Vector, Vector, Vector, Tra
     if not math.isfinite(f_trial):
         raise NumericalBreakdownError(f"mu escalation to {mu_bar:g} ended on a non-finite trial")
     raise RegularizationOverflowError(f"mu escalation to {mu_bar:g} found no acceptable step")
-
-
-def update_mu(mu_used: float, ratio: float, config: SolverConfig) -> float:
-    """Regularization parameter for the next outer iteration after an accepted step.
-
-    An ordinary acceptance keeps the parameter; a very successful one
-    (ratio at least ``eta2``) shrinks it by ``gamma1``, floored at
-    ``mu_min``.
-    """
-    if ratio >= config.eta2:
-        return max(config.mu_min, config.gamma1 * mu_used)
-    return mu_used
 
 
 def _wolfe_ray(state, x0, d, f0, dphi0):

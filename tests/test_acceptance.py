@@ -204,7 +204,6 @@ def _monotone_reference_run(problem, config):
     directly from the current iterate instead of the window.
     """
     from regulus.core import EvalCounter, check_termination, evaluate
-    from regulus.solvers import update_mu
 
     counters = EvalCounter()
     x = np.array(problem.x0, dtype=float)
@@ -228,7 +227,7 @@ def _monotone_reference_run(problem, config):
             if ratio >= config.eta1:
                 break
             mu_bar *= config.gamma2
-        mu = update_mu(mu_bar, ratio, config)
+        mu = max(config.mu_min, config.gamma1 * mu_bar) if ratio >= config.eta2 else mu_bar
         x_unit = x + d
         g_new = evaluate(problem.objective, x_unit, counters, "gradient")
         if history.push(d, g_new - g):

@@ -109,21 +109,34 @@ def test_solve_out_of_range_input_is_usage_error(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
-def test_out_of_memory_problem_is_usage_error(command, monkeypatch, capsys):
-    # A dimension that fits the address space but not memory: numpy raises
-    # MemoryError while the problem is built. Nothing is allocated here.
+def test_out_of_memory_problem_is_usage_error(command, monkeypatch, capsys, tmp_path):
+    # A dimension that fits the address space but not memory makes numpy
+    # raise MemoryError while the problem is built, or later, once the solve
+    # has started. Both are faked here; nothing is allocated.
     def no_memory(name):
         raise MemoryError(f"unable to allocate the problem {name!r}")
 
-    monkeypatch.setattr(regulus.cli, "get_problem", no_memory)
-    monkeypatch.setitem(SOLVERS, "rlbfgs", _no_solve)
+    def no_memory_in_solve(*args, **kwargs):
+        raise MemoryError("unable to allocate a trial point")
+
+    out = tmp_path / "records.csv"
     argv = {
-        "solve": ["solve", "quadratic-diag:100000000000"],
-        "bench": ["bench", "--problems", "quadratic-diag:100000000000",
-                  "--solvers", "rlbfgs", "--out", os.devnull],
+        "solve": ["solve", "beale"],
+        "bench": ["bench", "--problems", "beale", "--solvers", "rlbfgs", "--out", str(out)],
     }[command]
+    with monkeypatch.context() as patch:
+        patch.setattr(regulus.cli, "get_problem", no_memory)
+        patch.setitem(SOLVERS, "rlbfgs", _no_solve)
+        assert main(argv) == 2
+        assert "unable to allocate the problem 'beale'" in capsys.readouterr().err
+    monkeypatch.setitem(SOLVERS, "rlbfgs", no_memory_in_solve)
     assert main(argv) == 2
-    assert "unable to allocate" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: unable to allocate a trial point" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    if command == "bench":
+        assert out.read_text() == ""
 
 
 def test_solve_far_start(capsys):

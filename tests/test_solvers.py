@@ -14,7 +14,7 @@ from regulus.core import (
     Status,
 )
 from regulus.curvature import PairHistory, gamma_scale, shifted_curvature, two_loop_direction
-from regulus.problems import get_problem
+from regulus.problems import get_problem, registry
 from regulus.solvers import (
     SOLVERS,
     IterateState,
@@ -26,7 +26,6 @@ from regulus.solvers import (
     solve_lbfgs,
     solve_rlbfgs,
     solve_rlbfgs_sw,
-    update_mu,
     wolfe_extension_step,
 )
 from regulus.linesearch import strong_wolfe_search
@@ -47,20 +46,6 @@ def fresh_state(objective, x0, config):
     state.g = np.asarray(objective.gradient(state.x), float)
     state.counters.n_f, state.counters.n_g = 1, 1
     return state, state.counters
-
-
-# --- update_mu -------------------------------------------------------------
-
-def test_update_mu_keeps_on_ordinary_success():
-    assert update_mu(2.0, 0.5, SolverConfig()) == 2.0
-
-
-def test_update_mu_shrinks_on_strong_success():
-    assert update_mu(2.0, 0.95, SolverConfig()) == pytest.approx(0.2)
-
-
-def test_update_mu_floors_at_minimum():
-    assert update_mu(0.005, 0.95, SolverConfig()) == 1e-3
 
 
 # --- accept_step -----------------------------------------------------------
@@ -107,17 +92,53 @@ def test_accept_step_two_trial_script():
         assert g is gradients[-1]
 
 
-@pytest.mark.parametrize("diag", [2.0, 3.0])
-def test_accept_step_owns_mu_and_window(diag):
-    # Ratio 1 on the exact quadratic shrinks mu; ratio 0.5 on a stiffer one
-    # keeps it.
+@pytest.mark.parametrize("diag, ratio, mu_next", [(2.0, 1.0, 0.1), (3.0, 0.5, 1.0)],
+                         ids=["2.0", "3.0"])
+def test_accept_step_owns_mu_and_window(diag, ratio, mu_next):
+    # Ratio 1 on the exact quadratic shrinks mu by gamma1; ratio 0.5 on a
+    # stiffer one keeps it.
     objective = quadratic_objective(diag * np.ones(2))
-    config = SolverConfig()
-    state, counters = fresh_state(objective, [3.0, 4.0], config)
+    state, counters = fresh_state(objective, [3.0, 4.0], SolverConfig())
     f_before = state.f
-    x, g, d, (f, mu, ratio, *_) = accept_step_rlbfgs(state)
-    assert state.mu == update_mu(mu, ratio, config)
+    x, g, d, (f, mu, step_ratio, *_) = accept_step_rlbfgs(state)
+    assert mu == 1.0
+    assert step_ratio == pytest.approx(ratio)
+    assert state.mu == mu_next
     assert state.fwindow[-1] == f_before
+
+
+def test_trace_replays_the_mu_rule():
+    # Replays the mu rule on every registry cell without the solver code:
+    # a step starts from mu0, or from the last accepted mu kept (ratio
+    # below eta2) or shrunk by gamma1 and floored at mu_min, and grows by
+    # gamma2 once per rejected trial. Where no extension search ran, the
+    # step's value evaluations are its rejections plus the accepted trial.
+    config = SolverConfig()
+    branches = set()
+    for problem in registry():
+        for solver in ("rlbfgs", "rlbfgs-sw"):
+            trace = []
+            SOLVERS[solver](problem.objective, problem.x0, config, trace=trace)
+            mu, nf = config.mu0, 1
+            for r in trace:
+                where = (problem.name, solver, r.k)
+                rejected = 0
+                while mu < r.mu:
+                    mu *= config.gamma2
+                    rejected += 1
+                assert mu == r.mu, where
+                if r.alpha is None and not r.ls_failed:
+                    assert rejected == r.nf - nf - 1, where
+                shrunk = config.gamma1 * r.mu
+                if r.ratio < config.eta2:
+                    mu, branch = r.mu, "keep"
+                elif shrunk < config.mu_min:
+                    mu, branch = config.mu_min, "floor"
+                else:
+                    mu, branch = shrunk, "shrink"
+                branches.add(branch)
+                nf = r.nf
+    assert branches == {"keep", "shrink", "floor"}
 
 
 def test_accept_step_overflow_on_hostile_objective():
