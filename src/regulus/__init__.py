@@ -1,14 +1,6 @@
 """Regularized limited-memory BFGS solvers with a benchmarking harness."""
 
-from .core import (
-    EvalCounter,
-    Objective,
-    RunReport,
-    SolverConfig,
-    Status,
-    check_termination,
-    evaluate,
-)
+from .core import EvalCounter, Objective, RunReport, SolverConfig, Status
 from .problems import ProblemDef, get_problem, make_problem, registry
 from .solvers import SOLVERS, TraceRecord, solve_lbfgs, solve_rlbfgs, solve_rlbfgs_sw
 
@@ -30,8 +22,6 @@ __all__ = [
     "RunReport",
     "SolverConfig",
     "Status",
-    "check_termination",
-    "evaluate",
     *_HARNESS_NAMES,
     "ProblemDef",
     "get_problem",

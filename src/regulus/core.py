@@ -89,8 +89,8 @@ class Objective(NamedTuple):
     """Smooth objective with an analytic gradient.
 
     ``value`` and ``gradient`` must be deterministic for a given point,
-    and neither may modify its argument. The gradient must return a vector
-    of length ``dim`` that is a new array on each call: a solver keeps the
+    and neither may modify its argument. The gradient must return a real
+    vector of length ``dim``, a new array on each call: a solver keeps the
     previous gradient, and one that shares memory with the previous
     gradient (a reused buffer or a view of one) is a ``ValueError``.
     """
@@ -274,13 +274,13 @@ def evaluate(
     """Evaluate ``fn`` at ``point`` and charge the evaluation to ``counters``.
 
     Increments ``n_f`` when a value is requested and ``n_g`` when a gradient
-    is requested. Raises :class:`NumericalBreakdownError` on any non-finite
-    result; results are otherwise forwarded unmodified.
+    is requested. This is where the objective's outputs are checked: a
+    complex gradient or one whose shape is not ``(fn.dim,)`` is a
+    ``ValueError`` once ``n_g`` is charged, and any non-finite result raises
+    :class:`NumericalBreakdownError`; results are otherwise forwarded
+    unmodified. The caller passes one of the three requests and a point of
+    length ``fn.dim``; neither is checked here.
     """
-    if what not in ("value", "gradient", "both"):
-        raise ValueError(f"unknown evaluation request: {what!r}")
-    if len(point) != fn.dim:
-        raise ValueError(f"point has length {len(point)}, objective expects {fn.dim}")
     if what != "gradient":
         counters.n_f += 1
         value = float(fn.value(point))
@@ -289,7 +289,10 @@ def evaluate(
         if what == "value":
             return value
     counters.n_g += 1
-    gradient = np.asarray(fn.gradient(point), dtype=float)
+    gradient = fn.gradient(point)
+    if np.iscomplexobj(gradient):
+        raise ValueError("the objective's gradient must be real, not complex")
+    gradient = np.asarray(gradient, dtype=float)
     if gradient.shape != (fn.dim,):
         raise ValueError(f"gradient has shape {gradient.shape}, expected ({fn.dim},)")
     # A finite g'g proves every entry finite; only an overflowed or NaN
@@ -339,15 +342,10 @@ def check_termination(
     ``grad_tol``, ``Status.EVAL_BUDGET_EXCEEDED`` when ``n_f`` has passed
     ``max_fevals`` (checked after the convergence test, so a run that
     converges exactly at the budget still counts as a success), and ``None``
-    to continue. Raises :class:`NumericalBreakdownError` for a non-finite
-    gradient.
+    to continue. The caller passes a finite gradient of the point's length,
+    as :func:`evaluate` returns it; neither is checked here.
     """
-    if len(gradient) != len(point):
-        raise ValueError("gradient and point lengths differ")
-    residual = scaled_gradient_norm(gradient, point)
-    if residual == math.inf and not np.all(np.isfinite(gradient)):
-        raise NumericalBreakdownError("gradient contains non-finite entries")
-    if residual < config.grad_tol:
+    if scaled_gradient_norm(gradient, point) < config.grad_tol:
         return Status.CONVERGED
     if counters.n_f > config.max_fevals:
         return Status.EVAL_BUDGET_EXCEEDED

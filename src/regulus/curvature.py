@@ -45,11 +45,9 @@ class CurvaturePair:
 
 class PairHistory(deque):
     """The most recent curvature pairs, oldest first: a ``deque`` bounded at
-    ``capacity`` that only :meth:`push` fills."""
+    ``capacity >= 1`` (``SolverConfig.m``) that only :meth:`push` fills."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("history capacity must be positive")
         super().__init__(maxlen=capacity)
 
     def push(self, s: Vector, y: Vector) -> bool:
@@ -77,9 +75,9 @@ def shifted_curvature(pair: CurvaturePair, mu: float) -> Tuple[Vector, float]:
     Returns ``(y + (max(0, -s'y/||s||^2) + mu) * s, max(0, s'y) + mu*||s||^2)``.
     When ``s'y >= 0`` this is the plain shift ``y + mu*s``; the correction
     term otherwise guarantees a positive inner product for any ``mu > 0``.
+    The caller passes ``mu >= 0``: 0 for ``lbfgs``, at least ``mu_min``
+    otherwise.
     """
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
     correction = max(0.0, -pair.sy / pair.ss)
     y_shifted = pair.y + (correction + mu) * pair.s
     s_ty = max(0.0, pair.sy) + mu * pair.ss

@@ -47,7 +47,9 @@ def strong_wolfe_search(
     """Find a step satisfying sufficient decrease and the strong curvature bound.
 
     ``phi(alpha)`` returns ``(value, slope, *extras)`` along the ray, and
-    ``phi0`` and ``dphi0 < 0`` are the value and slope at ``alpha = 0``.
+    ``phi0`` and ``dphi0`` are the value and slope at ``alpha = 0``. The
+    caller guarantees ``dphi0 < 0`` and ``0 < c1 < c2 < 1`` (``SolverConfig``
+    proves the constants); the search checks neither.
     The first trial is the unit step. The search returns ``(alpha,
     phi(alpha), phi'(alpha), *extras)`` of the probe it accepts, where
 
@@ -60,10 +62,6 @@ def strong_wolfe_search(
     ``ALPHA_MAX``, and :class:`NumericalBreakdownError` instead when the
     search gives up right after a probe whose value was not finite.
     """
-    if not 0.0 < c1 < c2 < 1.0:
-        raise ValueError("requires 0 < c1 < c2 < 1")
-    if not dphi0 < 0.0:
-        raise ValueError("base directional derivative must be negative")
     curve_bound = -c2 * dphi0
     # The bracket [a_lo, a_hi] (in either order) holds an acceptable step:
     # a_lo has the least phi among the sufficient-decrease points; a_hi stays

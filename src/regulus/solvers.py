@@ -283,6 +283,8 @@ def _run(objective, x0, config, trace, solver_name, take_step) -> RunReport:
     config = config or SolverConfig()
     t0 = time.perf_counter()
     with np.errstate(all="ignore"):
+        if np.iscomplexobj(x0):
+            raise ValueError("x0 must be real, not complex")
         x = np.array(x0, dtype=float)
         if x.ndim != 1 or x.size != objective.dim:
             raise ValueError(f"x0 must be a vector of length {objective.dim}")

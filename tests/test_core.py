@@ -174,28 +174,18 @@ def test_evaluate_rejects_nonfinite():
         evaluate(bad_grad, np.zeros(1), EvalCounter(), "gradient")
 
 
-def test_evaluate_rejects_dimension_mismatch():
-    obj = quadratic_objective(np.ones(3))
-    with pytest.raises(ValueError):
-        evaluate(obj, np.zeros(2), EvalCounter(), "value")
-
-
-def test_evaluate_rejects_an_unknown_request_and_charges_nothing():
-    def never(x):
-        raise AssertionError("an unknown request evaluated the objective")
-
-    counters = EvalCounter()
-    with pytest.raises(ValueError, match="unknown evaluation request: 'hessian'"):
-        evaluate(Objective(2, never, never), np.zeros(2), counters, "hessian")
-    assert (counters.n_f, counters.n_g) == (0, 0)
-
-
-@pytest.mark.parametrize("bad", [np.zeros(2), np.zeros(4), np.zeros((3, 1))],
-                         ids=["short", "long", "matrix"])
-def test_evaluate_rejects_gradient_of_wrong_shape(bad):
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros(2), "gradient has shape"),
+    (np.zeros(4), "gradient has shape"),
+    (np.zeros((3, 1)), "gradient has shape"),
+    (np.array([1.0, 0.5j, 0.0]), "gradient must be real, not complex"),
+], ids=["short", "long", "matrix", "complex"])
+def test_evaluate_rejects_gradient_of_wrong_shape(bad, message):
+    # A ComplexWarning is a RuntimeWarning, which pyproject makes an error,
+    # so truncating a complex gradient would fail this test too.
     obj = Objective(dim=3, value=lambda x: 0.0, gradient=lambda x: bad)
     counters = EvalCounter()
-    with pytest.raises(ValueError, match="gradient has shape"):
+    with pytest.raises(ValueError, match=message):
         evaluate(obj, np.zeros(3), counters, "gradient")
     assert counters.n_g == 1
 
@@ -247,23 +237,7 @@ def test_termination_scale_correct_below_unit_ball(rng):
         assert (decision is Status.CONVERGED) == expected
 
 
-def test_termination_rejects_lengths_that_differ():
-    with pytest.raises(ValueError, match="lengths differ"):
-        check_termination(np.zeros(2), np.zeros(3), EvalCounter(), SolverConfig())
-
-
-def test_termination_rejects_nonfinite_gradient():
-    with pytest.raises(NumericalBreakdownError):
-        check_termination(
-            np.array([math.nan]), np.zeros(1), EvalCounter(), SolverConfig()
-        )
-
-
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_termination_finite_gradient_with_overflowing_norm():
-    g = np.array([1e200, -1e200, 1e200])  # every entry finite, ||g|| = inf
+    g = np.array([1e200, -1e200, 1e200])  # every entry finite, g'g = inf
     assert check_termination(g, np.zeros(3), EvalCounter(), SolverConfig()) is None
-    for bad in (math.nan, math.inf):
-        g[1] = bad
-        with pytest.raises(NumericalBreakdownError):
-            check_termination(g, np.zeros(3), EvalCounter(), SolverConfig())

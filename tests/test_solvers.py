@@ -344,7 +344,9 @@ def test_extension_gives_up_on_broken_probes_and_falls_back():
 @pytest.mark.parametrize("solve", [solve_lbfgs, solve_rlbfgs, solve_rlbfgs_sw])
 def test_immediate_convergence_at_stationary_start(solve):
     objective = quadratic_objective(np.ones(2))
-    report = solve(objective, np.zeros(2))
+    x0 = np.zeros(2)
+    report = solve(objective, x0)
+    assert not np.may_share_memory(report.x, x0)  # the run keeps a copy of x0
     assert report.status is Status.CONVERGED
     assert report.iterations == 0
     assert report.counters.n_f == 1
@@ -538,7 +540,8 @@ def test_trace_gnorm_when_its_square_overflows():
 @pytest.mark.parametrize("x0", [
     np.zeros(2), np.zeros(4), np.zeros((3, 1)),
     np.array([0.0, math.nan, 0.0]), np.array([math.inf, 0.0, 0.0]),
-], ids=["short", "long", "matrix", "nan", "inf"])
+    np.array([1.0 + 0.5j, 1.0, 1.0]),
+], ids=["short", "long", "matrix", "nan", "inf", "complex"])
 def test_bad_start_is_rejected_before_any_evaluation(solve, x0):
     counting = CountingObjective(quadratic_objective(np.ones(3)))
     with pytest.raises(ValueError, match="x0 must be"):
@@ -681,6 +684,42 @@ def test_pushed_pairs_keep_positive_shifted_curvature(monkeypatch):
     for pair in pushed:
         _, s_ty = shifted_curvature(pair, config.mu_min)
         assert s_ty > 0.0
+
+
+def test_helpers_get_what_their_callers_prove(monkeypatch):
+    # These four check none of their preconditions: the config, the start
+    # and evaluate's checks of the objective's outputs prove them. Spies
+    # assert each one at every call over every registry cell.
+    import regulus.curvature
+    import regulus.solvers as solvers_mod
+
+    seen = set()
+    cell = None
+
+    def spy(module, name, precondition):
+        real = getattr(module, name)
+
+        def checked(*args):
+            assert precondition(*args), (name, cell)
+            seen.add((name, cell[1]))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, checked)
+
+    spy(solvers_mod, "evaluate", lambda fn, x, counters, what:
+        what in ("value", "gradient", "both") and x.shape == (fn.dim,))
+    spy(solvers_mod, "check_termination", lambda g, x, counters, config:
+        x.ndim == 1 and g.shape == x.shape and np.isfinite(g).all())
+    spy(solvers_mod, "strong_wolfe_search", lambda phi, phi0, dphi0, c1, c2, max_iters:
+        0.0 < c1 < c2 < 1.0 and dphi0 < 0.0)
+    spy(regulus.curvature, "shifted_curvature", lambda pair, mu: mu >= 0.0)
+    for problem in registry():
+        for solver, solve in SOLVERS.items():
+            cell = (problem.name, solver)
+            solve(problem.objective, problem.x0)
+    spied = {"evaluate", "check_termination", "shifted_curvature"}
+    assert seen == {(name, solver) for name in spied for solver in SOLVERS} | {
+        ("strong_wolfe_search", "lbfgs"), ("strong_wolfe_search", "rlbfgs-sw")}
 
 
 def test_trace_json_schema():
